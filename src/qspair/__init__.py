@@ -22,7 +22,6 @@ from .satake import (
     partition_roots,
 )
 from .sln import (
-    LegTensor,
     PairRealization,
     Representation,
     build_leg_tensor,
@@ -52,7 +51,6 @@ from .uqsl import (
     UqFundamental,
     coideal_generators,
     fundamental,
-    infer_s_mu,
     lusztig_w0,
     lusztig_wX,
     make_params,

@@ -49,13 +49,20 @@ def rank_of_columns(cols):
     return rank
 
 
-def nullspace_dense(rows, ncols):
-    """Basis of the kernel of a dense rational matrix given as row lists."""
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination of dense rational rows on their first ncols
+    columns (later columns, such as a right-hand side, ride along).
+
+    Returns the reduced rows and the pivot column of each leading row; rows
+    past the pivots are zero in the first ncols columns.
+    """
     mat = [list(r) for r in rows]
     nrows = len(mat)
     pivot_col_of_row = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot = None
         for i in range(r, nrows):
             if mat[i][c] != 0:
@@ -72,8 +79,12 @@ def nullspace_dense(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivot_col_of_row.append(c)
         r += 1
-        if r == nrows:
-            break
+    return mat, pivot_col_of_row
+
+
+def nullspace_dense(rows, ncols):
+    """Basis of the kernel of a dense rational matrix given as row lists."""
+    mat, pivot_col_of_row = _row_reduce(rows, ncols)
     pivot_cols = set(pivot_col_of_row)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
@@ -107,46 +118,6 @@ class LieData:
         return {k: -v for k, v in self.bracket.get((b, a), {}).items()}
 
 
-def _expand_in_basis(mats, target):
-    """Coefficients of target in span(mats); exact; raises if not in span."""
-    n = len(mats[0])
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            rows.append([m[i][j] for m in mats])
-            rhs.append(target[i][j])
-    # solve least squares exactly via elimination on the augmented system
-    ncols = len(mats)
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    sol = [Fraction(0)] * ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(aug)):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    for i in range(r, len(aug)):
-        if aug[i][-1] != 0:
-            raise DomainError("element not in the span of the basis")
-    return sol
-
-
 def _comm(a, b):
     n = len(a)
     return tuple(
@@ -163,13 +134,22 @@ def make_lie_data(matrices, dim_h, names=()):
     mats = [tuple(tuple(Fraction(x) for x in row) for row in m)
             for m in matrices]
     dim = len(mats)
+    n = len(mats[0])
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    comms = [_comm(mats[a], mats[b]) for a, b in pairs]
+    # expand every bracket in the basis by one elimination: a row per matrix
+    # entry, the basis columns first, then one right-hand side per bracket
+    aug = [[m[i][j] for m in mats] + [c[i][j] for c in comms]
+           for i in range(n) for j in range(n)]
+    aug, pivots = _row_reduce(aug, dim)
+    if any(x != 0 for row in aug[len(pivots):] for x in row[dim:]):
+        raise DomainError("element not in the span of the basis")
     bracket = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            coeffs = _expand_in_basis(mats, _comm(mats[a], mats[b]))
-            entry = {i: c for i, c in enumerate(coeffs) if c}
-            if entry:
-                bracket[(a, b)] = entry
+    for k, pair in enumerate(pairs):
+        entry = {c: aug[i][dim + k] for i, c in enumerate(pivots)
+                 if aug[i][dim + k]}
+        if entry:
+            bracket[pair] = entry
     for a in range(dim_h):
         for b in range(a + 1, dim_h):
             if any(i >= dim_h for i in bracket.get((a, b), {})):
@@ -288,7 +268,7 @@ class CochainComplex:
         out = []
         for w0 in range(w + 1):
             for m0 in monomials(dh, w0):
-                for rest_w in _compositions(w - w0, n):
+                for rest_w in monomials(n, w - w0):
                     for rest in itertools.product(
                             *[monomials(d, k) for k in rest_w]):
                         out.append((m0,) + rest)
@@ -377,22 +357,6 @@ class CochainComplex:
                     lowered[t] += 1
                     target = elt[:leg] + (tuple(lowered),) + elt[leg + 1:]
                     yield target, exp * coeff
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], total, parts)
-    return out
 
 
 def build_complex(lie, max_degree=3, max_weight=4):

@@ -30,7 +30,7 @@ from scipy.special import digamma
 from .errors import DomainError, ParameterError, ResonanceError, TruncationError
 from .sln import (
     build_leg_tensor,
-    group_image,
+    k_basis,
     permute_legs,
     place_on_legs,
     tensor_rep,
@@ -191,13 +191,13 @@ def psi_kz(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200, max_h=0.1):
         raise ParameterError("psi_kz needs exactly three representations")
     x = complex(s) + complex(mu)
     hb = _hbar(h)
-    tk12 = build_leg_tensor(pr, "t_k", reps, (1, 2)).data
-    tm12 = (build_leg_tensor(pr, "t_mplus", reps, (1, 2)).data
-            + build_leg_tensor(pr, "t_mminus", reps, (1, 2)).data)
-    tu12 = build_leg_tensor(pr, "t_u", reps, (1, 2)).data
-    tk01 = build_leg_tensor(pr, "t_k", reps, (0, 1)).data
-    ck1 = build_leg_tensor(pr, "casimir_k", reps, (1,)).data
-    z1 = build_leg_tensor(pr, "Z", reps, (1,)).data
+    tk12 = build_leg_tensor(pr, "t_k", reps, (1, 2))
+    tm12 = (build_leg_tensor(pr, "t_mplus", reps, (1, 2))
+            + build_leg_tensor(pr, "t_mminus", reps, (1, 2)))
+    tu12 = build_leg_tensor(pr, "t_u", reps, (1, 2))
+    tk01 = build_leg_tensor(pr, "t_k", reps, (0, 1))
+    ck1 = build_leg_tensor(pr, "casimir_k", reps, (1,))
+    z1 = build_leg_tensor(pr, "Z", reps, (1,))
 
     prob = KZProblem(
         A_minus1=hb * (tk12 - tm12),
@@ -213,8 +213,8 @@ def phi_kz(pr, reps, h, tol=1e-12, max_order=200):
     if len(reps) != 3:
         raise ParameterError("phi_kz needs exactly three representations")
     hb = _hbar(h)
-    t12 = build_leg_tensor(pr, "t_u", reps, (0, 1)).data
-    t23 = build_leg_tensor(pr, "t_u", reps, (1, 2)).data
+    t12 = build_leg_tensor(pr, "t_u", reps, (0, 1))
+    t23 = build_leg_tensor(pr, "t_u", reps, (1, 2))
     prob = KZProblem(
         A_minus1=np.zeros_like(t12),
         A_0=hb * t12,
@@ -228,7 +228,7 @@ def r_kz(pr, reps, h):
     """R_KZ = exp(-h t^u) on a pair of legs."""
     if len(reps) != 2:
         raise ParameterError("r_kz needs exactly two representations")
-    tu = build_leg_tensor(pr, "t_u", reps, (0, 1)).data
+    tu = build_leg_tensor(pr, "t_u", reps, (0, 1))
     return expm(-h * tu)
 
 
@@ -262,9 +262,9 @@ def ribbon_kz(pr, reps, s, mu=0.0, h=0.05, central_g=1.0, variant="sigma"):
     if len(reps) != 2:
         raise ParameterError("ribbon_kz needs exactly two representations")
     x = complex(s) + complex(mu)
-    tk01 = build_leg_tensor(pr, "t_k", reps, (0, 1)).data
-    ck1 = build_leg_tensor(pr, "casimir_k", reps, (1,)).data
-    z1 = build_leg_tensor(pr, "Z", reps, (1,)).data
+    tk01 = build_leg_tensor(pr, "t_k", reps, (0, 1))
+    ck1 = build_leg_tensor(pr, "casimir_k", reps, (1,))
+    z1 = build_leg_tensor(pr, "Z", reps, (1,))
     expo = -h * (2 * tk01 + ck1)
     if variant == "sigma":
         expo = expo - 1j * np.pi * x * z1
@@ -288,9 +288,9 @@ def first_order_oracle(pr, reps, s):
     for z in (z1, z2):
         if abs(z - round(z.real)) < 1e-12 and z.real <= 0:
             raise DomainError(f"digamma pole at {z}")
-    tu = build_leg_tensor(pr, "t_u", reps, (1, 2)).data
-    tp = build_leg_tensor(pr, "t_mplus", reps, (1, 2)).data
-    tm = build_leg_tensor(pr, "t_mminus", reps, (1, 2)).data
+    tu = build_leg_tensor(pr, "t_u", reps, (1, 2))
+    tp = build_leg_tensor(pr, "t_mplus", reps, (1, 2))
+    tm = build_leg_tensor(pr, "t_mminus", reps, (1, 2))
     c_plus = EULER_GAMMA + complex(digamma(z1))
     c_minus = EULER_GAMMA + complex(digamma(z2))
     return (np.log(2.0) * tu + c_plus * tp + c_minus * tm) / (np.pi * 1j)
@@ -303,8 +303,8 @@ def first_order_oracle_s_derivative(pr, reps, s):
       - (pi/4) sech^2(pi s / 2) (t^{m+}_12 - t^{m-}_12).
     """
     import mpmath
-    tp = build_leg_tensor(pr, "t_mplus", reps, (1, 2)).data
-    tm = build_leg_tensor(pr, "t_mminus", reps, (1, 2)).data
+    tp = build_leg_tensor(pr, "t_mplus", reps, (1, 2))
+    tm = build_leg_tensor(pr, "t_mminus", reps, (1, 2))
     s = complex(s)
     tri = lambda z: complex(mpmath.polygamma(1, mpmath.mpc(z)))
     coeff_m = (tri(0.5 + 0.5j * s) - tri(0.5 - 0.5j * s)) / (4 * np.pi)
@@ -326,7 +326,7 @@ def _perm_matrix(mat, dims, placement):
 
 def sigma_conjugator(pr, rep):
     """Matrix of exp(pi Z_nu) in the representation; Ad of it is sigma."""
-    return group_image(rep, expm(np.pi * pr.Znu))
+    return expm(rep.rho(np.pi * pr.Znu))
 
 
 def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
@@ -392,9 +392,9 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
 
     # --- hexagons for (Phi_KZ, R_KZ) on W^3
     dimsW = (f.dim, f.dim, f.dim)
-    tu13 = build_leg_tensor(pr, "t_u", (f, f, f), (0, 2)).data
-    tu23 = build_leg_tensor(pr, "t_u", (f, f, f), (1, 2)).data
-    tu12 = build_leg_tensor(pr, "t_u", (f, f, f), (0, 1)).data
+    tu13 = build_leg_tensor(pr, "t_u", (f, f, f), (0, 2))
+    tu23 = build_leg_tensor(pr, "t_u", (f, f, f), (1, 2))
+    tu12 = build_leg_tensor(pr, "t_u", (f, f, f), (0, 1))
     Rd13 = expm(-h * tu13)
     lhs_h1 = expm(-h * (tu13 + tu23))           # (Delta (x) id)(R)
     R23 = np.kron(np.eye(f.dim), R)
@@ -411,7 +411,7 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
 
     # --- k-invariance of Psi (the alpha = Delta intertwiner identity)
     worst = 0.0
-    for X in _k_basis_matrices(pr):
+    for X in k_basis(pr):
         D = sum(
             place_on_legs({i: r.rho(X)}, dims3)
             for i, r in enumerate((rep0, f, f))
@@ -443,19 +443,3 @@ def _embed_two_leg(E, dims, i, j):
     perm = [placement[k] for k in range(n)]
     return permute_legs(full, dims_ordered, perm)
 
-
-def _k_basis_matrices(pr):
-    N, p = pr.N, pr.p
-    out = []
-    for i in range(N):
-        for j in range(N):
-            if i != j and ((i < p) == (j < p)):
-                m = np.zeros((N, N), dtype=complex)
-                m[i, j] = 1
-                out.append(m)
-    for i in range(N - 1):
-        m = np.zeros((N, N), dtype=complex)
-        m[i, i] = 1
-        m[i + 1, i + 1] = -1
-        out.append(m)
-    return out

@@ -5,7 +5,7 @@ cover the AIII family s(u_p + u_{N-p}) < su_N, which is S-type for N = 2p and
 C-type for p < N/2.  Simple roots are labelled 1..N-1 as usual.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError, StructuralError
@@ -137,19 +137,7 @@ def build_aiii(N, p):
         cascade=(),
         z_nu=z_nu,
     )
-    casc = cascade(sd)
-    return SatakeData(
-        root_system=rs,
-        N=N,
-        p=p,
-        X=X,
-        tau=tau,
-        theta_on_weights=theta,
-        hermitian_tag=tag,
-        distinguished=distinguished,
-        cascade=casc,
-        z_nu=z_nu,
-    )
+    return replace(sd, cascade=cascade(sd))
 
 
 def theta_weight(sd, lam):

@@ -66,61 +66,8 @@ def tensor_rep(a, b):
     return Representation(dim=da * db, rho=rho, name=f"({a.name})*({b.name})")
 
 
-def group_image(rep, g):
-    """Image of a group element g = exp(X), X in sl_N, under the rep.
-
-    Works for any rep built from fundamental/trivial/tensor_rep since those
-    integrate tensor powers of the defining representation of SU(N).
-    """
-    X = _logm_su(np.asarray(g, dtype=complex))
-    return expm(rep.rho(X))
-
-
-def _logm_su(g):
-    """A traceless logarithm of g in SU(N) (branch irrelevant up to center,
-    which callers handle explicitly)."""
-    from scipy.linalg import logm
-    L = logm(g)
-    N = g.shape[0]
-    tr = np.trace(L) / N
-    L = L - tr * np.eye(N)
-    # re-exponentiate check: exp(L) = g up to an N-th root of unity scalar
-    return L
-
-
 # ---------------------------------------------------------------------------
 # leg tensors
-
-@dataclass
-class LegTensor:
-    """Dense operator on a tensor product with an explicit leg assignment."""
-
-    spaces: tuple        # per-leg dimensions
-    legs: tuple          # leg labels, position i carries label legs[i]
-    data: np.ndarray     # square matrix of size prod(spaces)
-
-    @property
-    def dim(self):
-        d = 1
-        for s in self.spaces:
-            d *= s
-        return d
-
-    def __matmul__(self, other):
-        if isinstance(other, LegTensor):
-            if self.spaces != other.spaces:
-                raise ShapeError("leg tensors live on different spaces")
-            return LegTensor(self.spaces, self.legs, self.data @ other.data)
-        return self.data @ other
-
-    def permuted(self, perm):
-        """Relabel legs by the permutation (a similarity transform)."""
-        return LegTensor(
-            tuple(self.spaces[perm[i]] for i in range(len(perm))),
-            tuple(self.legs[perm[i]] for i in range(len(perm))),
-            permute_legs(self.data, self.spaces, perm),
-        )
-
 
 def place_on_legs(ops, dims):
     """Kronecker product with ops[i] (or identity) on leg i."""
@@ -150,6 +97,15 @@ def permute_legs(mat, dims, perm):
     t = mat.reshape(tuple(dims) + tuple(dims))
     axes = list(perm) + [n + p for p in perm]
     return np.transpose(t, axes).reshape(mat.shape)
+
+
+def flip_matrix(d):
+    """The flip Sigma(v (x) w) = w (x) v on C^d (x) C^d as a permutation matrix."""
+    out = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            out[j * d + i, i * d + j] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +243,15 @@ def build_leg_tensor(pr, symbol, reps, legs):
             "t_u": pr.t_u, "t_k": pr.t_k,
             "t_mplus": pr.t_mplus, "t_mminus": pr.t_mminus, "r": pr.r,
         }[symbol]
-        data = place_pair_tensor(pairs, reps[i], reps[j], dims, i, j)
+        return place_pair_tensor(pairs, reps[i], reps[j], dims, i, j)
+    (i,) = legs
+    if symbol == "Z":
+        m = reps[i].rho(pr.Znu)
+    elif symbol == "casimir_k":
+        m = casimir_matrix(pr, reps[i], "k")
     else:
-        (i,) = legs
-        if symbol == "Z":
-            m = reps[i].rho(pr.Znu)
-        elif symbol == "casimir_k":
-            m = casimir_matrix(pr, reps[i], "k")
-        else:
-            m = casimir_matrix(pr, reps[i], "u")
-        data = place_on_legs({i: m}, dims)
-    return LegTensor(spaces=dims, legs=tuple(range(len(reps))), data=data)
+        m = casimir_matrix(pr, reps[i], "u")
+    return place_on_legs({i: m}, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +317,9 @@ def r_rotation_residual(pr, phi):
     return _tensor_norm(_project_tensor(diff, proj_m, proj_m))
 
 
-def k_phi_basis(pr, phi):
-    """Basis of k_phi^C = (Ad g_{phi-1})(g^nu) as N x N matrices."""
-    g = cayley(pr, phi - 1)
-    gi = np.linalg.inv(g)
+def k_basis(pr):
+    """Block basis of g^nu = s(gl_p + gl_{N-p}) as N x N matrices."""
     N, p = pr.N, pr.p
-    # block basis of g^nu = s(gl_p + gl_{N-p})
     basis = []
     for i in range(N):
         for j in range(N):
@@ -376,10 +327,17 @@ def k_phi_basis(pr, phi):
                 basis.append(_eij(N, i, j))
     for i in range(N - 1):
         basis.append(_eij(N, i, i) - _eij(N, i + 1, i + 1))
-    return [g @ X @ gi for X in basis]
+    return basis
 
 
-def _proj_onto_span(basis, X, herm_form_weight=None):
+def k_phi_basis(pr, phi):
+    """Basis of k_phi^C = (Ad g_{phi-1})(g^nu) as N x N matrices."""
+    g = cayley(pr, phi - 1)
+    gi = np.linalg.inv(g)
+    return [g @ X @ gi for X in k_basis(pr)]
+
+
+def _proj_onto_span(basis, X):
     """Orthogonal projection of X onto span(basis) under <A,B> = Tr(A B^dag)."""
     vecs = np.array([b.ravel() for b in basis]).T
     q, _ = np.linalg.qr(vecs)

@@ -24,15 +24,16 @@ from .errors import (
 )
 from .rootdata import pairing
 from .satake import build_aiii, restricted_half_root, theta_weight
-from .sln import a_antidiag, casimir_matrix, fundamental_rep, realize
+from .sln import (
+    _eij,
+    a_antidiag,
+    casimir_matrix,
+    flip_matrix,
+    fundamental_rep,
+    realize,
+)
 
 MU_FLAG_FACTOR = 10.0   # |mu| beyond this multiple of h flags a bad sign fit
-
-
-def _eij(N, i, j):
-    m = np.zeros((N, N), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 
 def _qpow(q, expo):
@@ -171,9 +172,6 @@ class CoidealParams:
 
     def c_value(self, i, q):
         return self.c0[i] * _qpow(q, self.c_qexp[i])
-
-    def c_constant(self, i):
-        return self.c0[i]
 
     def s_value(self, i):
         return self.s0[i]
@@ -363,14 +361,25 @@ def _mudrov_support(N, p):
     return allowed
 
 
+def _commutator_system(g, positions):
+    """Matrix of M -> [M, g] for M supported on positions.
+
+    Row a N + b holds the coefficients of [M, g]_{ab}; column k those of the
+    entry M_{positions[k]}.
+    """
+    N = g.shape[0]
+    A = np.zeros((N, N, len(positions)), dtype=complex)
+    for k, (c, d) in enumerate(positions):
+        # [e_cd, g]_{ab} = delta_ac g_db - g_ac delta_db
+        A[c, :, k] += g[d, :]
+        A[:, d, k] -= g[:, c]
+    return A.reshape(N * N, len(positions))
+
+
 def reflection_residual(K, R):
     """|K_1 Rh K_1 Rh - Rh K_1 Rh K_1| / |...| with Rh = Sigma R."""
     N = K.shape[0]
-    sigma = np.zeros((N * N, N * N))
-    for i in range(N):
-        for j in range(N):
-            sigma += np.kron(_eij(N, i, j), _eij(N, j, i)).real
-    Rh = sigma @ R
+    Rh = flip_matrix(N) @ R
     K1 = np.kron(K, np.eye(N))
     lhs = K1 @ Rh @ K1 @ Rh
     rhs = Rh @ K1 @ Rh @ K1
@@ -393,24 +402,9 @@ def solve_kmatrix(N, p, t, q):
 
     rows = []
     for g in gens["all"]:
-        # [K, g]_{ab} = sum_c K_ac g_cb - g_ac K_cb
-        for a in range(N):
-            for b in range(N):
-                row = np.zeros(nvar, dtype=complex)
-                touched = False
-                for (c, d), k in pos_index.items():
-                    # K_cd contributes to [K, g]_{ab} through K_ad g_db
-                    # (when c == a) and through -g_ac K_cb (when d == b)
-                    coeff = 0j
-                    if c == a:
-                        coeff += g[d, b]
-                    if d == b:
-                        coeff -= g[a, c]
-                    if coeff != 0:
-                        row[k] = coeff
-                        touched = True
-                if touched:
-                    rows.append(row)
+        # entries of [K, g] that no support position reaches give zero rows
+        A = _commutator_system(g, support)
+        rows.extend(A[np.any(A != 0, axis=1)])
     # diagonal equality constraints
     for a in range(1, p):
         row = np.zeros(nvar, dtype=complex)
@@ -616,15 +610,6 @@ def infer_s_mu_from_eigs(eigs, N, p, h, t, tol=1e-9):
     return float(s), complex(x), complex(g), complex(closed_x)
 
 
-def infer_s_mu(kr, N, p, h, t, tol=1e-9):
-    """Fit (s, s+mu) and the central element from a solved K-matrix.
-
-    Thin wrapper around infer_s_mu_from_eigs taking the KMatrixResult; the
-    parameter point t is needed to split s+mu into its closed-form parts.
-    """
-    return infer_s_mu_from_eigs(kr.eigenvalues, N, p, h, t, tol=tol)
-
-
 def _eig_multiplicities(eigs, tol):
     """Cluster eigenvalues into (values, multiplicities), greedy by gap."""
     vals, counts = [], []
@@ -704,8 +689,7 @@ def quasi_k_in_rep(N, p, q, tol=1e-9):
         if mu == zero_mu:
             continue
         positions = weight_positions(mu)
-        nvar = len(positions)
-        rows, rhs = [], []
+        blocks, rhs = [], []
         for i in range(1, N):
             hr = restricted_half_root(sd, i)
             prev_mu = tuple(a - 2 * b for a, b in zip(mu, hr))
@@ -720,25 +704,12 @@ def quasi_k_in_rep(N, p, q, tol=1e-9):
             left = (-_qpow(q, -theta_pair[i]) * cp
                     * np.linalg.inv(uq.K[i - 1]) @ uq.E[j - 1]) @ M_prev
             target = right - left
-            Fi = uq.F[i - 1]
-            for a in range(N):
-                for b in range(N):
-                    row = np.zeros(nvar, dtype=complex)
-                    for k, (c, d) in enumerate(positions):
-                        # [F_i, M]_{ab} picks up F_ac M_cb when d == b and
-                        # -M_ac F_cb when c == a
-                        val = 0j
-                        if d == b:
-                            val += Fi[a, c]
-                        if c == a:
-                            val -= Fi[d, b]
-                        if val != 0:
-                            row[k] = val
-                    rows.append(row)
-                    rhs.append(target[a, b])
-        A = np.array(rows) if rows else np.zeros((0, nvar))
-        bvec = np.array(rhs)
-        if nvar:
+            # [F_i, M] = -[M, F_i]
+            blocks.append(-_commutator_system(uq.F[i - 1], positions))
+            rhs.append(target.ravel())
+        A = np.vstack(blocks)
+        bvec = np.concatenate(rhs)
+        if positions:
             sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
             resid = float(np.linalg.norm(A @ sol - bvec))
         else:

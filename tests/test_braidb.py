@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qspair.errors import ParameterError, ShapeError
+from qspair.errors import ComparisonError, ParameterError, ShapeError
 from qspair.braidb import (
     DEFAULT_WORDS,
     build_rep,
@@ -33,7 +33,7 @@ def test_trivial_quadruple_all_identity():
     R = np.eye(dw * dw, dtype=complex)
     fam = identity_family((dv, dw))
     for n in (2, 3):
-        rep = build_rep(E, R, fam, fam, n, (dv, dw))
+        rep = build_rep(E, R, fam, n, (dv, dw))
         # sigma = flip-conjugated identity = identity-similar permutation
         assert max(rep.residuals.values()) < 1e-14
         w = word_matrix(rep, ("rho1",))
@@ -50,11 +50,11 @@ def test_single_strand_rep():
 def test_build_rep_validation():
     fam = identity_family((2, 2))
     with pytest.raises(ParameterError):
-        build_rep(np.eye(4), np.eye(4), fam, fam, 5, (2, 2))
+        build_rep(np.eye(4), np.eye(4), fam, 5, (2, 2))
     with pytest.raises(ShapeError):
-        build_rep(np.eye(3), np.eye(4), fam, fam, 2, (2, 2))
+        build_rep(np.eye(3), np.eye(4), fam, 2, (2, 2))
     with pytest.raises(ShapeError):
-        build_rep(np.eye(4), np.eye(3), fam, fam, 2, (2, 2))
+        build_rep(np.eye(4), np.eye(3), fam, 2, (2, 2))
 
 
 def test_q_side_relations_n2_and_n3():
@@ -91,6 +91,22 @@ def test_relation_negative_control():
     rep.sigma[0] = rep.sigma[0] + 1e-3 * np.eye(rep.dim)
     res = relation_residuals(rep)
     assert res["type_b"] > 1e-4
+
+
+def test_invertibility_check_is_scale_free():
+    # at dimension 125 |det rho_1| is 9.4e-14 although cond(rho_1) = 1.65
+    out = kohno_drinfeld_compare(5, 2, h=0.1)
+    assert out["max_delta"] < 1e-6
+    assert max(out["q_residuals"].values()) < 1e-8
+    assert max(out["kz_residuals"].values()) < 1e-8
+
+
+def test_rank_deficient_rho1_raises():
+    rep, _ = q_side_rep(2, 1, make_params(2, 1), 0.05, 2)
+    rep.rho1 = rep.rho1.copy()
+    rep.rho1[:, 0] = 0
+    with pytest.raises(ComparisonError, match="rho_1"):
+        relation_residuals(rep)
 
 
 def test_word_matrix_validation():

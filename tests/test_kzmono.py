@@ -145,7 +145,7 @@ def test_series_tail_below_tol(pr2):
     import qspair.kzmono as kz
     hb = kz._hbar(0.05)
     from qspair.sln import build_leg_tensor
-    tu = build_leg_tensor(pr2, "t_u", reps, (1, 2)).data
+    tu = build_leg_tensor(pr2, "t_u", reps, (1, 2))
     res = frobenius_monodromy(
         KZProblem(np.zeros_like(tu), np.zeros_like(tu), hb * tu, tol=1e-12)
     )
@@ -221,9 +221,9 @@ def test_oracle_symmetric_at_s_zero(pr2):
     from qspair.sln import build_leg_tensor
     reps = (F2, F2, F2)
     oracle = first_order_oracle(pr2, reps, 0.0)
-    tp = build_leg_tensor(pr2, "t_mplus", reps, (1, 2)).data
-    tm = build_leg_tensor(pr2, "t_mminus", reps, (1, 2)).data
-    tu = build_leg_tensor(pr2, "t_u", reps, (1, 2)).data
+    tp = build_leg_tensor(pr2, "t_mplus", reps, (1, 2))
+    tm = build_leg_tensor(pr2, "t_mminus", reps, (1, 2))
+    tu = build_leg_tensor(pr2, "t_u", reps, (1, 2))
     # psi(1/2) = -gamma - 2 log 2
     coeff = -2 * np.log(2.0)
     expected = (np.log(2.0) * tu + coeff * (tp + tm)) / (np.pi * 1j)

@@ -264,14 +264,14 @@ def test_leg_tensor_tu_eigenvalues_sl2():
     pr = realize(2, 1)
     f = fundamental_rep(2)
     lt = build_leg_tensor(pr, "t_u", (f, f), (0, 1))
-    eig = np.sort(np.linalg.eigvalsh((lt.data + lt.data.conj().T) / 2))
+    eig = np.sort(np.linalg.eigvalsh((lt + lt.conj().T) / 2))
     assert np.allclose(eig, [-1.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_leg_tensor_casimir_u_sl2():
     pr = realize(2, 1)
     lt = build_leg_tensor(pr, "casimir_u", (fundamental_rep(2),), (0,))
-    assert np.max(np.abs(lt.data - 1.5 * np.eye(2))) < 1e-12
+    assert np.max(np.abs(lt - 1.5 * np.eye(2))) < 1e-12
 
 
 def test_leg_tensor_casimir_value_general():
@@ -279,7 +279,7 @@ def test_leg_tensor_casimir_value_general():
     for N in [3, 4]:
         pr = realize(N, 1)
         lt = build_leg_tensor(pr, "casimir_u", (fundamental_rep(N),), (0,))
-        assert np.max(np.abs(lt.data - (N * N - 1) / N * np.eye(N))) < 1e-12
+        assert np.max(np.abs(lt - (N * N - 1) / N * np.eye(N))) < 1e-12
 
 
 def test_leg_tensor_z_placement():
@@ -287,7 +287,7 @@ def test_leg_tensor_z_placement():
     f = fundamental_rep(2)
     lt = build_leg_tensor(pr, "Z", (f, f, f), (1,))
     expected = np.kron(np.eye(2), np.kron(pr.Znu, np.eye(2)))
-    assert np.max(np.abs(lt.data - expected)) < 1e-14
+    assert np.max(np.abs(lt - expected)) < 1e-14
 
 
 def test_leg_tensor_shape_errors():
@@ -315,9 +315,9 @@ def test_merged_leg_matches_split_sum():
     # t_k on a merged leg equals t_k_{02} + t_k_{12} on the split legs
     pr = realize(2, 1)
     f = fundamental_rep(2)
-    merged = build_leg_tensor(pr, "t_k", (tensor_rep(f, f), f), (0, 1)).data
-    split = (build_leg_tensor(pr, "t_k", (f, f, f), (0, 2)).data
-             + build_leg_tensor(pr, "t_k", (f, f, f), (1, 2)).data)
+    merged = build_leg_tensor(pr, "t_k", (tensor_rep(f, f), f), (0, 1))
+    split = (build_leg_tensor(pr, "t_k", (f, f, f), (0, 2))
+             + build_leg_tensor(pr, "t_k", (f, f, f), (1, 2)))
     assert np.max(np.abs(merged - split)) < 1e-12
 
 
