@@ -367,13 +367,14 @@ def _commutator_system(g, positions):
     Row a N + b holds the coefficients of [M, g]_{ab}; column k those of the
     entry M_{positions[k]}.
     """
-    N = g.shape[0]
-    A = np.zeros((N, N, len(positions)), dtype=complex)
-    for k, (c, d) in enumerate(positions):
-        # [e_cd, g]_{ab} = delta_ac g_db - g_ac delta_db
-        A[c, :, k] += g[d, :]
-        A[:, d, k] -= g[:, c]
-    return A.reshape(N * N, len(positions))
+    N, nvar = g.shape[0], len(positions)
+    c, d = np.array(positions, dtype=int).reshape(nvar, 2).T
+    k = np.arange(nvar)
+    A = np.zeros((N, N, nvar), dtype=complex)
+    # [e_cd, g]_{ab} = delta_ac g_db - g_ac delta_db
+    A[c, :, k] += g[d, :]
+    A[:, d, k] -= g[:, c]
+    return A.reshape(N * N, nvar)
 
 
 def reflection_residual(K, R):
@@ -402,7 +403,8 @@ def solve_kmatrix(N, p, t, q):
 
     rows = []
     for g in gens["all"]:
-        # entries of [K, g] that no support position reaches give zero rows
+        # drop the zero rows (entries of [K, g] no support position reaches):
+        # they carry no equation, and the full SVD below stores rows^2 values
         A = _commutator_system(g, support)
         rows.extend(A[np.any(A != 0, axis=1)])
     # diagonal equality constraints
