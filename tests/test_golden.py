@@ -40,6 +40,13 @@ CASES = {
         "kohno-drinfeld --n 2 --p 1 --words 'rho1;sigma1;rho1,sigma1'",
     "cohomology/sl2_cartan_invariant.json":
         "cohomology --g sl2 --subalgebra cartan --invariant",
+    "cohomology/sl2_zero.json": "cohomology --g sl2 --subalgebra zero",
+    "cohomology/sl3_cartan_invariant_d2_w3.json":
+        "cohomology --g sl3 --subalgebra cartan --invariant --max-degree 2 "
+        "--max-weight 3",
+    "cohomology/sl3_so3_invariant_d1_w2.csv":
+        "cohomology --g sl3 --subalgebra so3 --invariant --max-degree 1 "
+        "--max-weight 2 --format csv",
 }
 
 
