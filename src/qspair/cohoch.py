@@ -117,6 +117,18 @@ class LieData:
             return self.bracket.get((a, b), {})
         return {k: -v for k, v in self.bracket.get((b, a), {}).items()}
 
+    def diagonal_weights(self):
+        """Weight of each basis vector under h, a tuple with one entry per
+        basis vector of h, when h acts diagonally on the basis (ad(c, i) lies
+        in span{X_i}, as for a Cartan subalgebra); None otherwise."""
+        weights = []
+        for i in range(self.dim):
+            acts = [self.ad(c, i) for c in range(self.dim_h)]
+            if any(set(act) - {i} for act in acts):
+                return None
+            weights.append(tuple(act.get(i, 0) for act in acts))
+        return weights
+
 
 def _comm(a, b):
     n = len(a)
@@ -247,6 +259,13 @@ def _embed(m_w, dim):
     return tuple(m_w) + (0,) * (dim - len(m_w))
 
 
+def _content(elt, dim):
+    """Letter content of a basis element: its exponents summed over the legs,
+    the W leg padded into V.  d maps each element to elements of the same
+    content."""
+    return tuple(map(sum, zip(_embed(elt[0], dim), *elt[1:])))
+
+
 # ---------------------------------------------------------------------------
 # the complex
 
@@ -258,6 +277,9 @@ class CochainComplex:
     _basis_cache: dict = field(default_factory=dict)
     _diff_cache: dict = field(default_factory=dict)
     _inv_cache: dict = field(default_factory=dict)
+    _block_cache: dict = field(default_factory=dict)
+    _block_rank_cache: dict = field(default_factory=dict)
+    _rank_cache: dict = field(default_factory=dict)
 
     def basis(self, n, w):
         """Basis of C^{n,w}: tuples (m0, m1, ..., mn) of exponent tuples."""
@@ -275,34 +297,71 @@ class CochainComplex:
         self._basis_cache[key] = out
         return out
 
+    def _column(self, elt):
+        """d of one basis element of C^n as a sparse dict."""
+        d = self.lie.dim
+        col = {}
+
+        def add(target, coeff):
+            col[target] = col.get(target, Fraction(0)) + coeff
+
+        m0, rest = elt[0], elt[1:]
+        # j = 0: coproduct on the W leg, second factor lands in V
+        for a, b, coeff in _splits(m0):
+            add((a, _embed(b, d)) + rest, coeff)
+        # j = 1..n: coproduct on V legs
+        for j in range(len(rest)):
+            for a, b, coeff in _splits(rest[j]):
+                target = (m0,) + rest[:j] + (a, b) + rest[j + 1:]
+                add(target, (-1) ** (j + 1) * coeff)
+        # final counit-style term T (x) 1
+        unit = (0,) * d
+        add(elt + (unit,), Fraction((-1) ** (len(rest) + 1)))
+        return {k: v for k, v in col.items() if v}
+
     def differential(self, n, w):
         """Sparse columns of d: C^{n,w} -> C^{n+1,w}, one per basis element."""
         key = (n, w)
-        if key in self._diff_cache:
-            return self._diff_cache[key]
-        d = self.lie.dim
-        cols = []
-        for elt in self.basis(n, w):
-            col = {}
+        if key not in self._diff_cache:
+            self._diff_cache[key] = [self._column(e) for e in self.basis(n, w)]
+        return self._diff_cache[key]
 
-            def add(target, coeff):
-                col[target] = col.get(target, Fraction(0)) + coeff
+    def blocks(self, n, w):
+        """The basis of C^{n,w} grouped by letter content: content -> basis
+        elements, in basis order."""
+        key = (n, w)
+        if key not in self._block_cache:
+            groups = {}
+            for elt in self.basis(n, w):
+                groups.setdefault(_content(elt, self.lie.dim), []).append(elt)
+            self._block_cache[key] = groups
+        return self._block_cache[key]
 
-            m0, rest = elt[0], elt[1:]
-            # j = 0: coproduct on the W leg, second factor lands in V
-            for a, b, coeff in _splits(m0):
-                add((a, _embed(b, d)) + rest, coeff)
-            # j = 1..n: coproduct on V legs
-            for j in range(len(rest)):
-                for a, b, coeff in _splits(rest[j]):
-                    target = (m0,) + rest[:j] + (a, b) + rest[j + 1:]
-                    add(target, (-1) ** (j + 1) * coeff)
-            # final counit-style term T (x) 1
-            unit = (0,) * d
-            add(elt + (unit,), Fraction((-1) ** (n + 1)))
-            cols.append({k: v for k, v in col.items() if v})
-        self._diff_cache[key] = cols
-        return cols
+    def block_rank(self, n, content):
+        """Rank of d on the block of C^n with this letter content.
+
+        A permutation of the letters that keeps the h letters among
+        themselves maps basis elements to basis elements and commutes with
+        d, so the rank depends only on n and the sorted content of each kind
+        of letter; it is computed once for each such orbit.
+        """
+        dh = self.lie.dim_h
+        key = (n, tuple(sorted(content[:dh])), tuple(sorted(content[dh:])))
+        if key not in self._block_rank_cache:
+            elts = self.blocks(n, sum(content))[content]
+            self._block_rank_cache[key] = rank_of_columns(
+                [self._column(e) for e in elts])
+        return self._block_rank_cache[key]
+
+    def rank(self, n, w, invariant=False):
+        """rank d^{n,w} on C^{n,w}, or on its h-invariants; computed once."""
+        if n < 0:
+            return 0
+        key = (n, w, invariant)
+        if key not in self._rank_cache:
+            compute = _rank_invariant if invariant else _rank_plain
+            self._rank_cache[key] = compute(self, n, w)
+        return self._rank_cache[key]
 
     def check_d_squared(self, n, w):
         """Exact d . d = 0 at bidegree (n, w)."""
@@ -318,25 +377,45 @@ class CochainComplex:
                 return False
         return True
 
+    def invariant_contents(self, n, w):
+        """The contents of C^{n,w} of weight zero when h acts diagonally on
+        the basis (then these blocks span the invariants); None otherwise."""
+        weights = self.lie.diagonal_weights()
+        if weights is None:
+            return None
+        return [content for content in self.blocks(n, w)
+                if all(sum(e * wt[c] for e, wt in zip(content, weights)) == 0
+                       for c in range(self.lie.dim_h))]
+
     def invariant_basis(self, n, w):
-        """Rational basis of the h-invariants in C^{n,w} (dense columns)."""
+        """Rational basis of the h-invariants in C^{n,w}, as sparse vectors
+        (dicts basis element -> Fraction).
+
+        When h acts diagonally, each basis element is a weight vector whose
+        weight is fixed by its content, and the invariants are the weight-zero
+        basis elements.  Otherwise they are the kernel of the h action.
+        """
         key = (n, w)
         if key in self._inv_cache:
             return self._inv_cache[key]
-        basis = self.basis(n, w)
-        index = {elt: i for i, elt in enumerate(basis)}
-        nb = len(basis)
-        rows_by_pair = {}
-        for c in range(self.lie.dim_h):
-            for i, elt in enumerate(basis):
-                for target, coeff in self._h_action(c, elt):
-                    rows_by_pair.setdefault((c, index[target]),
-                                            [Fraction(0)] * nb)[i] += coeff
-        rows = list(rows_by_pair.values())
-        kernel = nullspace_dense(rows, nb) if rows else [
-            [Fraction(1 if i == j else 0) for i in range(nb)]
-            for j in range(nb)
-        ]
+        contents = self.invariant_contents(n, w)
+        if contents is not None:
+            blocks = self.blocks(n, w)
+            kernel = [{elt: Fraction(1)}
+                      for content in contents for elt in blocks[content]]
+        else:
+            basis = self.basis(n, w)
+            index = {elt: i for i, elt in enumerate(basis)}
+            nb = len(basis)
+            rows_by_pair = {}
+            for c in range(self.lie.dim_h):
+                for i, elt in enumerate(basis):
+                    for target, coeff in self._h_action(c, elt):
+                        rows_by_pair.setdefault((c, index[target]),
+                                                [Fraction(0)] * nb)[i] += coeff
+            kernel = [{basis[i]: c for i, c in enumerate(vec) if c}
+                      for vec in nullspace_dense(list(rows_by_pair.values()),
+                                                 nb)]
         self._inv_cache[key] = kernel
         return kernel
 
@@ -369,45 +448,41 @@ def build_complex(lie, max_degree=3, max_weight=4):
 # cohomology
 
 def _rank_plain(cc, n, w):
-    if n < 0:
-        return 0
-    return rank_of_columns(cc.differential(n, w))
+    """rank d^{n,w}: the sum of its block ranks, blocks by letter content."""
+    return sum(cc.block_rank(n, content) for content in cc.blocks(n, w))
 
 
 def _rank_invariant(cc, n, w):
-    if n < 0:
-        return 0
+    """rank of d^{n,w} on the h-invariants."""
+    contents = cc.invariant_contents(n, w)
+    if contents is not None:
+        # the invariants are whole blocks, and d keeps them in the invariants
+        return sum(cc.block_rank(n, content) for content in contents)
     inv = cc.invariant_basis(n, w)
     if not inv:
         return 0
     cols = cc.differential(n, w)
+    index = {elt: i for i, elt in enumerate(cc.basis(n, w))}
     combined = []
     for vec in inv:
         acc = {}
-        for i, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            for target, c2 in cols[i].items():
+        for elt, coeff in vec.items():
+            for target, c2 in cols[index[elt]].items():
                 acc[target] = acc.get(target, Fraction(0)) + coeff * c2
         combined.append({k: v for k, v in acc.items() if v})
     return rank_of_columns(combined)
 
 
+def _dim(cc, n, w, invariant):
+    return len(cc.invariant_basis(n, w)) if invariant else len(cc.basis(n, w))
+
+
 def cohomology_dims(cc, invariant=False):
     """dim H^{n,w} for n <= max_degree, w <= max_weight; exact integers."""
-    out = {}
-    for w in range(cc.max_weight + 1):
-        for n in range(cc.max_degree + 1):
-            if invariant:
-                dim_space = len(cc.invariant_basis(n, w))
-                rank_out = _rank_invariant(cc, n, w)
-                rank_in = _rank_invariant(cc, n - 1, w)
-            else:
-                dim_space = len(cc.basis(n, w))
-                rank_out = _rank_plain(cc, n, w)
-                rank_in = _rank_plain(cc, n - 1, w)
-            out[(n, w)] = dim_space - rank_out - rank_in
-    return out
+    return {(n, w): (_dim(cc, n, w, invariant) - cc.rank(n, w, invariant)
+                     - cc.rank(n - 1, w, invariant))
+            for w in range(cc.max_weight + 1)
+            for n in range(cc.max_degree + 1)}
 
 
 def euler_characteristic_check(cc, w, invariant=False):
@@ -420,14 +495,8 @@ def euler_characteristic_check(cc, w, invariant=False):
     dims = cohomology_dims(cc, invariant=invariant)
     top = cc.max_degree
     chi_h = sum((-1) ** n * dims[(n, w)] for n in range(top + 1))
-    chi_c = 0
-    for n in range(top + 1):
-        size = (len(cc.invariant_basis(n, w)) if invariant
-                else len(cc.basis(n, w)))
-        chi_c += (-1) ** n * size
-    rank_top = (_rank_invariant(cc, top, w) if invariant
-                else _rank_plain(cc, top, w))
-    return chi_h == chi_c - (-1) ** top * rank_top
+    chi_c = sum((-1) ** n * _dim(cc, n, w, invariant) for n in range(top + 1))
+    return chi_h == chi_c - (-1) ** top * cc.rank(top, w, invariant)
 
 
 def primitive_cocycle(cc, letters):
@@ -445,6 +514,4 @@ def primitive_cocycle(cc, letters):
 def cocycle_is_coboundary(cc, n, w, elt_vector):
     """Whether a cocycle (dense dict basis elt -> Fraction) is in im(d)."""
     cols = cc.differential(n - 1, w)
-    base_rank = rank_of_columns(cols)
-    aug_rank = rank_of_columns(cols + [elt_vector])
-    return aug_rank == base_rank
+    return rank_of_columns(cols + [elt_vector]) == cc.rank(n - 1, w)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from qspair.cohoch import (
     euler_characteristic_check,
     make_lie_data,
     monomials,
+    nullspace_dense,
     primitive_cocycle,
     rank_of_columns,
     sl2_data,
@@ -154,3 +157,64 @@ def test_build_complex_validation():
         sl2_data("so3")
     with pytest.raises(ParameterError):
         sl3_data("bogus")
+
+
+# An HKR-type oracle, independent of the complex: H^{n,w} is
+# (Lambda^n(g/h))^h on the diagonal w = n and zero elsewhere, counted from the
+# torus weights of g/h.  For h = 0 that is C(dim g, n); for sl3/cartan it is
+# the number of n-subsets of the roots (simple-root coordinates) summing to 0.
+SL3_ROOTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+
+
+def hkr_zero(dim, n, w):
+    return comb(dim, n) if n == w else 0
+
+
+def hkr_sl3_cartan(n, w):
+    if n != w:
+        return 0
+    return sum(1 for c in combinations(SL3_ROOTS, n)
+               if sum(a for a, _ in c) == sum(b for _, b in c) == 0)
+
+
+def test_sl3_zero_matches_hkr_at_default_bounds():
+    dims = cohomology_dims(build_complex(sl3_data("zero"), 3, 4))
+    assert dims == {(n, w): hkr_zero(8, n, w)
+                    for n in range(4) for w in range(5)}
+
+
+def test_sl3_cartan_invariant_matches_hkr_at_default_bounds():
+    dims = cohomology_dims(build_complex(sl3_data("cartan"), 3, 4),
+                           invariant=True)
+    assert dims == {(n, w): hkr_sl3_cartan(n, w)
+                    for n in range(4) for w in range(5)}
+
+
+@pytest.mark.parametrize("sub", ["zero", "cartan"])
+def test_blocked_rank_equals_unblocked_sl2(sub):
+    cc = build_complex(sl2_data(sub), 3, 4)
+    for n in range(4):
+        for w in range(5):
+            assert cc.rank(n, w) == rank_of_columns(cc.differential(n, w))
+
+
+def _h_kernel_dim(cc, n, w):
+    """dim of the kernel of the h action on C^{n,w}, by dense elimination."""
+    basis = cc.basis(n, w)
+    index = {elt: i for i, elt in enumerate(basis)}
+    rows = {}
+    for c in range(cc.lie.dim_h):
+        for i, elt in enumerate(basis):
+            for target, coeff in cc._h_action(c, elt):
+                rows.setdefault((c, index[target]),
+                                [Fraction(0)] * len(basis))[i] += coeff
+    return len(nullspace_dense(list(rows.values()), len(basis)))
+
+
+@pytest.mark.parametrize("lie,d,w", [(sl2_data("cartan"), 3, 4),
+                                     (sl3_data("cartan"), 2, 2)])
+def test_weight_zero_invariants_are_the_h_kernel(lie, d, w):
+    cc = build_complex(lie, d, w)
+    for n in range(d + 1):
+        for k in range(w + 1):
+            assert len(cc.invariant_basis(n, k)) == _h_kernel_dim(cc, n, k)
