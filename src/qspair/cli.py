@@ -22,6 +22,7 @@ from .errors import (
     ComparisonError,
     DomainError,
     ParameterError,
+    QspairError,
     ResonanceError,
     ShapeError,
     StructuralError,
@@ -47,13 +48,14 @@ EXIT_CODES = {
     ComparisonError: 7,
     DomainError: 8,
     ShapeError: 9,
+    QspairError: 10,
 }
 
 EPILOG = """exit codes:
   0 success         1 verify-all failure      2 usage error
   3 parameter       4 resonance               5 series truncation
   6 structural      7 comparison failure      8 domain error
-  9 shape mismatch
+  9 shape mismatch 10 other qspair error
 
 environment:
   QSPAIR_TOL  overrides the default Frobenius series tolerance (1e-12)
@@ -448,9 +450,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except tuple(EXIT_CODES) as exc:
+    except QspairError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES[type(exc)]
+        # the nearest listed class, so a subclass shares its family's code
+        return next(EXIT_CODES[c] for c in type(exc).__mro__
+                    if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from qspair import cli
 from qspair.cli import main
+from qspair.errors import ParameterError, QspairError
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +121,21 @@ def test_bad_type_param_exit_code(capsys):
     code, _ = run_cli(capsys, "kmatrix", "--n", "4", "--p", "2",
                       "--type-params", "bogus=1")
     assert code == 3
+
+
+class _SubParameterError(ParameterError):
+    pass
+
+
+@pytest.mark.parametrize("exc,code", [(_SubParameterError("bad n"), 3),
+                                      (QspairError("unclassified"), 10)])
+def test_exit_code_follows_error_family(monkeypatch, capsys, exc, code):
+    def raise_it(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_aiii", raise_it)
+    assert main(["satake", "--n", "3", "--p", "1"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_determinism(capsys):
