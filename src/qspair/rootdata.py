@@ -37,21 +37,20 @@ class RootSystem:
 
 def pairing(rs, lam, mu):
     """Evaluate the invariant form (lam, mu); exact rational."""
-    lam = _frac_vec(lam)
-    mu = _frac_vec(mu)
     n = rs.dim_ambient
     if len(lam) != n or len(mu) != n:
         raise ShapeError(
             f"weights must have {n} coordinates, got {len(lam)} and {len(mu)}"
         )
+    mu_support = [(j, Fraction(b)) for j, b in enumerate(mu) if b]
     total = Fraction(0)
     for i, a in enumerate(lam):
         if a == 0:
             continue
+        a = Fraction(a)
         row = rs.form[i]
-        for j, b in enumerate(mu):
-            if b:
-                total += a * row[j] * b
+        for j, b in mu_support:
+            total += a * row[j] * b
     return total
 
 
@@ -202,23 +201,21 @@ class RootOrder:
     extra_vectors: tuple = field(default=())
 
     def key(self, root):
-        root = _frac_vec(root)
+        support = [(i, Fraction(c)) for i, c in enumerate(root) if c]
         vecs = (self.first_vector,) + self.extra_vectors
-        return tuple(sum(c * v[i] for i, c in enumerate(root)) for v in vecs)
+        return tuple(sum(c * v[i] for i, c in support) for v in vecs)
 
     def check_regular(self, roots):
+        """The sort keys of roots, in order; raises if two coincide."""
         keys = [self.key(r) for r in roots]
         if len(set(keys)) != len(keys):
             raise ParameterError("degenerate root order: duplicate sort keys")
+        return keys
 
     def sort(self, roots):
         """Roots in increasing order; largest last."""
         self.check_regular(roots)
         return sorted(roots, key=self.key)
-
-    def largest(self, roots):
-        self.check_regular(roots)
-        return max(roots, key=self.key)
 
 
 def standard_order_type_a(z_nu_diag):

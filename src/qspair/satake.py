@@ -46,7 +46,9 @@ class RootPartition:
 
 
 def _apply_matrix(mat, vec):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in mat)
+    support = [j for j, x in enumerate(vec) if x]
+    return tuple(sum((row[j] * vec[j] for j in support), Fraction(0))
+                 for row in mat)
 
 
 def _tau_matrix(N):
@@ -75,12 +77,13 @@ def _reflection(rs, alpha):
 
 
 def _mat_mul(A, B):
-    n = len(A)
     m = len(B[0])
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(m))
-        for i in range(n)
-    )
+    out = []
+    for row in A:
+        support = [k for k, x in enumerate(row) if x]
+        out.append(tuple(sum((row[k] * B[k][j] for k in support), Fraction(0))
+                         for j in range(m)))
+    return tuple(out)
 
 
 def longest_element_wx(rs, X_labels):
@@ -159,22 +162,18 @@ def cascade(sd):
     the construction stops once every remaining root is compact.
     """
     rs = sd.root_system
-    order = standard_order_type_a(sd.z_nu)
-    order.check_regular(rs.positive_roots)
+    keys = standard_order_type_a(sd.z_nu).check_regular(rs.positive_roots)
+    # (sort key, root, compact) of each root centralizing every H_{gamma_i}
+    central = [(k, r, sd.is_compact(r))
+               for k, r in zip(keys, rs.positive_roots)]
     gammas = []
-    remaining = list(rs.positive_roots)
-    while True:
-        # roots centralizing H_{gamma_1}..H_{gamma_k}
-        central = [
-            r for r in remaining
-            if all(pairing(rs, r, g) == 0 for g in gammas)
-        ]
-        if not central or all(sd.is_compact(r) for r in central):
-            break
-        gamma = order.largest(central)
-        if sd.is_compact(gamma):
+    while central and not all(compact for _, _, compact in central):
+        _, gamma, compact = max(central, key=lambda entry: entry[0])
+        if compact:
             raise StructuralError("cascade selected a compact root")
         gammas.append(gamma)
+        central = [entry for entry in central
+                   if pairing(rs, entry[1], gamma) == 0]
     # strong orthogonality: gamma_i +- gamma_j is never a root
     all_roots = set(rs.positive_roots) | {
         tuple(-x for x in r) for r in rs.positive_roots

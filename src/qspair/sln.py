@@ -153,6 +153,12 @@ def _eij(N, i, j):
     return m
 
 
+def cartan_gram_inverse(N):
+    """Inverse of the Gram matrix Tr(H_i H_j) of H_i = e_ii - e_{i+1,i+1}."""
+    gram = 2 * np.eye(N - 1) - np.eye(N - 1, k=1) - np.eye(N - 1, k=-1)
+    return np.linalg.inv(gram)
+
+
 def _sl_basis(N):
     """Basis of sl_N: off-diagonal units then H_i, with its trace-dual."""
     basis, dual = [], []
@@ -163,8 +169,7 @@ def _sl_basis(N):
                 dual.append(_eij(N, j, i))
     # Cartan part: H_i = e_ii - e_{i+1,i+1}; dual via the inverse Gram matrix
     cart = [_eij(N, i, i) - _eij(N, i + 1, i + 1) for i in range(N - 1)]
-    gram = np.array([[np.trace(a @ b).real for b in cart] for a in cart])
-    ginv = np.linalg.inv(gram)
+    ginv = cartan_gram_inverse(N)
     for i in range(N - 1):
         basis.append(cart[i])
         dual.append(sum(ginv[i, j] * cart[j] for j in range(N - 1)))

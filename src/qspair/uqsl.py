@@ -24,16 +24,11 @@ from .errors import (
 )
 from .rootdata import pairing
 from .satake import build_aiii, restricted_half_root, theta_weight
-from .sln import (
-    _eij,
-    a_antidiag,
-    casimir_matrix,
-    flip_matrix,
-    fundamental_rep,
-    realize,
-)
+from .sln import _eij, a_antidiag, cartan_gram_inverse
 
 MU_FLAG_FACTOR = 10.0   # |mu| beyond this multiple of h flags a bad sign fit
+NULL_RTOL = 1e-9        # singular values up to this share of the largest: null
+CORNER_RTOL = 1e-12     # |K_{N1}| up to this share of max |K_ab|: zero
 
 
 def _qpow(q, expo):
@@ -121,13 +116,11 @@ def r_matrix(N, q):
     """
     if q <= 0:
         raise ParameterError(f"q must be positive, got {q}")
-    R = np.zeros((N * N, N * N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            R += (1 / q if i == j else 1.0) * np.kron(_eij(N, i, i), _eij(N, j, j))
-    for i in range(N):
-        for j in range(i + 1, N):
-            R += (1 / q - q) * np.kron(_eij(N, i, j), _eij(N, j, i))
+    R = np.eye(N * N, dtype=complex)
+    diag = np.arange(N) * (N + 1)          # e_i (x) e_i
+    R[diag, diag] = 1 / q
+    i, j = np.triu_indices(N, 1)
+    R[i * N + j, j * N + i] = 1 / q - q    # e_ij (x) e_ji
     return R
 
 
@@ -299,11 +292,12 @@ def coideal_generators(N, p, t, q):
     for j in sorted(sd.X):
         gx.extend([uq.E[j - 1], uq.F[j - 1]])
 
+    cartan = _h_theta_basis(sd)
     return {
         "B": B,
-        "cartan": _h_theta_basis(sd),
+        "cartan": cartan,
         "gx": gx,
-        "all": (list(B.values()) + _h_theta_basis(sd) + gx
+        "all": (list(B.values()) + cartan + gx
                 + [m.conj().T for m in B.values()]
                 + [m.conj().T for m in gx]),
     }
@@ -377,34 +371,51 @@ def _commutator_system(g, positions):
     return A.reshape(N * N, nvar)
 
 
-def reflection_residual(K, R):
-    """|K_1 Rh K_1 Rh - Rh K_1 Rh K_1| / |...| with Rh = Sigma R."""
-    N = K.shape[0]
-    Rh = flip_matrix(N) @ R
-    K1 = np.kron(K, np.eye(N))
-    lhs = K1 @ Rh @ K1 @ Rh
-    rhs = Rh @ K1 @ Rh @ K1
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
+def reflection_residual(K, q):
+    """|K_1 Rh K_1 Rh - Rh K_1 Rh K_1| / |...| with Rh = Sigma r_matrix(N, q).
 
-
-def solve_kmatrix(N, p, t, q):
-    """Solve the commutant system within the Mudrov family and normalize.
-
-    The linear system stacks [K, x] = 0 over all coideal generators and
-    their adjoints with the support and diagonal-equality constraints of the
-    Mudrov normal form (r = p).  The solution space must be one dimensional;
-    the scalar is fixed by matching K_{N1} (and K_{p+1,p+1} is verified in
-    the C-type case) against the closed forms.
+    Rh(e_a (x) e_b) = q^{-delta_ab} e_b (x) e_a
+                      + (q^{-1} - q)[a > b] e_a (x) e_b,
+    so Rh and K_1 = K (x) 1 act on N columns at a time, held as (N, N, N)
+    arrays v[c, d, column]; no N^2 x N^2 array is formed.
     """
-    gens = coideal_generators(N, p, t, q)
+    N = K.shape[0]
+    swap = np.where(np.eye(N, dtype=bool), 1 / q, 1.0)[:, :, None]
+    keep = np.tril(np.full((N, N), 1 / q - q), -1)[:, :, None]
+
+    def rh(v):
+        return swap * v.transpose(1, 0, 2) + keep * v
+
+    def k1(v):
+        return np.tensordot(K, v, axes=1)
+
+    diff2 = rhs2 = 0.0
+    cols = np.arange(N)
+    for a in range(N):
+        # the columns e_a (x) e_b, b = 0..N-1, of the identity
+        block = np.zeros((N, N, N), dtype=complex)
+        block[a, cols, cols] = 1.0
+        rhs = rh(k1(rh(k1(block))))
+        diff = k1(rh(k1(rh(block)))) - rhs
+        diff2 += np.vdot(diff, diff).real
+        rhs2 += np.vdot(rhs, rhs).real
+    return float(np.sqrt(diff2) / max(np.sqrt(rhs2), 1e-300))
+
+
+def _mudrov_system(N, p, gens):
+    """The linear system [K, g] = 0 (g in gens) plus the diagonal equalities
+    for K on the support of the Mudrov normal form.
+
+    Returns (A, support); column k of A holds the entry K_{support[k]}.
+    """
     support = sorted(_mudrov_support(N, p))
     pos_index = {pos: k for k, pos in enumerate(support)}
     nvar = len(support)
 
     rows = []
-    for g in gens["all"]:
+    for g in gens:
         # drop the zero rows (entries of [K, g] no support position reaches):
-        # they carry no equation, and the full SVD below stores rows^2 values
+        # they carry no equation
         A = _commutator_system(g, support)
         rows.extend(A[np.any(A != 0, axis=1)])
     # diagonal equality constraints
@@ -418,25 +429,48 @@ def solve_kmatrix(N, p, t, q):
         row[pos_index[(p, p)]] = 1
         row[pos_index[(a, a)]] = -1
         rows.append(row)
+    return np.array(rows), support
 
-    A = np.array(rows)
-    _, sing, vh = np.linalg.svd(A)
-    null_mask = np.concatenate([sing, np.zeros(max(0, nvar - len(sing)))]) < 1e-9
-    nullity = int(np.sum(null_mask))
+
+def _null_vector(A):
+    """The null vector of A, whose null space must be one dimensional.
+
+    A singular value is null when it is at most NULL_RTOL times the largest,
+    so the decision does not change when A is scaled.
+    """
+    nvar = A.shape[1]
+    # the rows x rows U is never used; vh needs all nvar rows only when A
+    # has fewer rows than unknowns
+    _, sing, vh = np.linalg.svd(A, full_matrices=A.shape[0] < nvar)
+    nullity = nvar - int(np.sum(sing > NULL_RTOL * sing[0]))
     if nullity == 0:
         raise StructuralError("no nonconstant solution in the Mudrov family")
     if nullity > 1:
         raise StructuralError(
             f"commutant solution space is {nullity}-dimensional "
             "within the Mudrov family")
-    vec = vh[-1].conj()
+    return vh[-1].conj()
+
+
+def solve_kmatrix(N, p, t, q):
+    """Solve the commutant system within the Mudrov family and normalize.
+
+    The linear system stacks [K, x] = 0 over all coideal generators and
+    their adjoints with the support and diagonal-equality constraints of the
+    Mudrov normal form (r = p).  The solution space must be one dimensional;
+    the scalar is fixed by matching K_{N1} (and K_{p+1,p+1} is verified in
+    the C-type case) against the closed forms.
+    """
+    gens = coideal_generators(N, p, t, q)
+    A, support = _mudrov_system(N, p, gens["all"])
+    vec = _null_vector(A)
     K = np.zeros((N, N), dtype=complex)
-    for (a, b), k in pos_index.items():
+    for k, (a, b) in enumerate(support):
         K[a, b] = vec[k]
 
     # normalize by the closed-form corner entry
     closed = closed_form_kmatrix(N, p, t, q)
-    if abs(K[N - 1, 0]) < 1e-12:
+    if abs(K[N - 1, 0]) <= CORNER_RTOL * np.max(np.abs(K)):
         raise StructuralError("solved K-matrix has vanishing corner entry")
     K = K * (closed[N - 1, 0] / K[N - 1, 0])
 
@@ -450,7 +484,7 @@ def solve_kmatrix(N, p, t, q):
         if lam_err > 1e-9:
             raise StructuralError(
                 f"middle-block eigenvalue off closed form by {lam_err:.2e}")
-    residuals["reflection"] = reflection_residual(K, r_matrix(N, q))
+    residuals["reflection"] = reflection_residual(K, q)
 
     # Mudrov data
     y = [K[a, N - 1 - a] for a in range(p)] + \
@@ -524,11 +558,15 @@ def kz_side_eigenvalue_data(N, p, h):
     Returns (c_plus, c_minus, z_plus, z_minus): C^k acts by c_plus on the
     p-dimensional block and c_minus on the rest; Z_nu acts by i z_plus and
     i z_minus there.
+
+    On e_1 the Casimir of k = s(gl_p + gl_{N-p}) gets 1 from each e_1j e_j1
+    with 1 < j <= p, and G^{-1}_{11} from the Cartan part
+    sum_ij G^{-1}_ij H_i H_j (G the Gram matrix), as H_1 alone is nonzero
+    on e_1; on e_N likewise with the last block and H_{N-1}.
     """
-    pr = realize(N, p)
-    ck = casimir_matrix(pr, fundamental_rep(N), "k")
-    c_plus = float(ck[0, 0].real)
-    c_minus = float(ck[N - 1, N - 1].real)
+    ginv = cartan_gram_inverse(N)
+    c_plus = float((p - 1) + ginv[0, 0])
+    c_minus = float((N - p - 1) + ginv[N - 2, N - 2])
     z_plus = 1 - p / N
     z_minus = -p / N
     return c_plus, c_minus, z_plus, z_minus

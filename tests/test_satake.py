@@ -223,3 +223,21 @@ def test_dim_m():
     assert dim_m(build_aiii(2, 1)) == 2
     assert dim_m(build_aiii(3, 1)) == 4
     assert dim_m(build_aiii(4, 2)) == 8
+
+
+def _closed_form_cascade(N, p):
+    """gamma_k = L_k - L_{N+1-k} for k = 1..p."""
+    gammas = []
+    for k in range(p):
+        v = [Fraction(0)] * N
+        v[k], v[N - 1 - k] = Fraction(1), Fraction(-1)
+        gammas.append(tuple(v))
+    return tuple(gammas)
+
+
+@pytest.mark.parametrize(
+    "N, p",
+    [(N, p) for N in range(2, 13) for p in range(1, N // 2 + 1)]
+    + [(24, 12), (32, 16)])
+def test_cascade_matches_closed_form(N, p):
+    assert build_aiii(N, p).cascade == _closed_form_cascade(N, p)

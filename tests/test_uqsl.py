@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,18 @@ from qspair.errors import (
     ComparisonError,
     DomainError,
     ParameterError,
+    StructuralError,
+)
+from qspair.sln import (
+    _eij,
+    casimir_matrix,
+    flip_matrix,
+    fundamental_rep,
+    realize,
 )
 from qspair.uqsl import (
+    _mudrov_system,
+    _null_vector,
     closed_form_kmatrix,
     closed_form_s,
     closed_form_s_plus_mu,
@@ -17,6 +28,7 @@ from qspair.uqsl import (
     defining_relation_residual,
     fundamental,
     infer_s_mu_from_eigs,
+    kz_side_eigenvalue_data,
     lusztig_w0,
     lusztig_wX,
     make_params,
@@ -277,7 +289,6 @@ def test_mudrov_constraint_holds():
             assert abs(y[i] * y[2 * p - 1 - i] + lam * mu) < 1e-10
         # eigenvalue moduli match the KZ-side reflection operator
         eigs = np.sort(np.abs(kr.eigenvalues))
-        from qspair.uqsl import kz_side_eigenvalue_data
         h = 0.1
         cp, cm, zp, zm = kz_side_eigenvalue_data(N, p, h)
         x = kr.inferred_s_plus_mu.real
@@ -288,7 +299,82 @@ def test_mudrov_constraint_holds():
 
 def test_reflection_residual_negative_control():
     K = np.array([[1.0, 0.3], [0.0, 2.0]], dtype=complex)
-    assert reflection_residual(K, r_matrix(2, Q)) > 1e-3
+    assert reflection_residual(K, Q) > 1e-3
+
+
+@pytest.mark.parametrize("q", [Q, 0.83])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_reflection_residual_matches_dense_formula(N, q):
+    rng = np.random.default_rng(N)
+    K = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    Rh = flip_matrix(N) @ r_matrix(N, q)
+    K1 = np.kron(K, np.eye(N))
+    lhs = K1 @ Rh @ K1 @ Rh
+    rhs = Rh @ K1 @ Rh @ K1
+    dense = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+    assert abs(reflection_residual(K, q) - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_r_matrix_equals_kronecker_sum(N):
+    q = 1.23
+    ref = np.zeros((N * N, N * N), dtype=complex)
+    for i in range(N):
+        for j in range(N):
+            ref += (1 / q if i == j else 1.0) * np.kron(_eij(N, i, i),
+                                                        _eij(N, j, j))
+    for i in range(N):
+        for j in range(i + 1, N):
+            ref += (1 / q - q) * np.kron(_eij(N, i, j), _eij(N, j, i))
+    R = r_matrix(N, q)
+    assert np.array_equal(R, ref)
+    assert np.array_equal(np.signbit(R.real), np.signbit(ref.real))
+    assert np.array_equal(np.signbit(R.imag), np.signbit(ref.imag))
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_kz_side_eigenvalues_equal_casimir_diagonal(N):
+    for p in range(1, N // 2 + 1):
+        ck = casimir_matrix(realize(N, p), fundamental_rep(N), "k")
+        c_plus, c_minus, _, _ = kz_side_eigenvalue_data(N, p, 0.1)
+        assert c_plus == ck[0, 0].real
+        assert c_minus == ck[N - 1, N - 1].real
+
+
+def test_nullity_is_scale_free():
+    N, p = 5, 2
+    gens = coideal_generators(N, p, make_params(N, p, c_p0=0.8), Q)["all"]
+    A, _ = _mudrov_system(N, p, gens)
+    vec = _null_vector(A)
+    # an extra unknown no equation reaches makes the null space 2-dimensional
+    wide = np.hstack([A, np.zeros((A.shape[0], 1))])
+    for scale in (1e-12, 1.0, 1e6):
+        assert abs(np.vdot(_null_vector(scale * A), vec)) == pytest.approx(1)
+        with pytest.raises(StructuralError, match="2-dimensional"):
+            _null_vector(scale * wide)
+    # fewer equations than unknowns
+    short = _null_vector(np.array([[1.0, -1.0]]))
+    assert np.allclose(np.abs(short), [2 ** -0.5, 2 ** -0.5])
+
+
+def test_solve_kmatrix_n32_matches_closed_form():
+    t = make_params(32, 16, s_p=0.2j)
+    kr = solve_kmatrix(32, 16, t, Q)
+    assert np.max(np.abs(kr.K - closed_form_kmatrix(32, 16, t, Q))) < 1e-10
+    assert kr.residuals["reflection"] < 1e-10
+
+
+def test_solve_kmatrix_forms_no_n2_by_n2_array():
+    N, p = 24, 12
+    t = make_params(N, p)
+    solve_kmatrix(4, 2, make_params(4, 2), Q)   # first-call imports
+    tracemalloc.start()
+    try:
+        solve_kmatrix(N, p, t, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (N * N) ** 2 * np.dtype(complex).itemsize
 
 
 def test_infer_rejects_alien_eigenvalues():
