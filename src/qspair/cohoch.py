@@ -11,7 +11,9 @@ symmetric coalgebra (the dual of polynomial multiplication) to one leg.  The
 symmetrization coalgebra isomorphism Sym^c(g) = U(g) makes this compute the
 same cohomology as the enveloping-algebra complex; it is never materialized.
 
-Everything is a Fraction: rank is discontinuous, so floats never enter.
+Everything is exact: the differential has integer entries and the
+elimination works over Fractions.  Rank is discontinuous, so floats never
+enter.
 """
 
 import itertools
@@ -25,76 +27,51 @@ from .errors import DomainError, ParameterError
 # ---------------------------------------------------------------------------
 # exact linear algebra (sparse, over Q)
 
-def rank_of_columns(cols):
-    """Rank of a list of sparse columns (dicts rowkey -> Fraction)."""
-    pivots = []  # list of (rowkey, normalized column dict)
-    rank = 0
-    for col in cols:
-        col = dict(col)
-        for rowkey, pcol in pivots:
+def _subtract(vec, c, other):
+    """vec -= c * other for sparse dicts, dropping the entries that cancel."""
+    for k, v in other.items():
+        new = vec.get(k, 0) - c * v
+        if new:
+            vec[k] = new
+        else:
+            vec.pop(k, None)
+
+
+def _eliminate(cols, record=False):
+    """Sparse column-by-column elimination over Q.
+
+    Each column (a dict rowkey -> int or Fraction) is reduced against the
+    pivots of the columns before it; what remains becomes a new pivot,
+    normalized at its first row key.  Returns the rank and, with record, the
+    kernel: for each column j that reduces to zero, the vanishing combination
+    of input columns as a dict index -> Fraction (1 at j, the rest at earlier
+    pivot columns).  Without record the kernel is empty.
+    """
+    pivots = []  # (rowkey, normalized column, its combination of inputs)
+    kernel = {}
+    for j, col in enumerate(cols):
+        col = {k: v for k, v in col.items() if v}
+        combo = {j: Fraction(1)} if record else None
+        for rowkey, pcol, pcombo in pivots:
             c = col.get(rowkey)
             if c:
-                for rk, v in pcol.items():
-                    new = col.get(rk, Fraction(0)) - c * v
-                    if new:
-                        col[rk] = new
-                    else:
-                        col.pop(rk, None)
-        col = {k: v for k, v in col.items() if v}
+                _subtract(col, c, pcol)
+                if record:
+                    _subtract(combo, c, pcombo)
         if col:
             rowkey = next(iter(col))
-            inv = 1 / col[rowkey]
-            pivots.append((rowkey, {k: v * inv for k, v in col.items()}))
-            rank += 1
-    return rank
+            inv = 1 / Fraction(col[rowkey])
+            pcombo = {k: v * inv for k, v in combo.items()} if record else None
+            pivots.append((rowkey, {k: v * inv for k, v in col.items()},
+                           pcombo))
+        elif record:
+            kernel[j] = combo
+    return len(pivots), kernel
 
 
-def _row_reduce(rows, ncols):
-    """Gauss-Jordan elimination of dense rational rows on their first ncols
-    columns (later columns, such as a right-hand side, ride along).
-
-    Returns the reduced rows and the pivot column of each leading row; rows
-    past the pivots are zero in the first ncols columns.
-    """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    pivot_col_of_row = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_col_of_row.append(c)
-        r += 1
-    return mat, pivot_col_of_row
-
-
-def nullspace_dense(rows, ncols):
-    """Basis of the kernel of a dense rational matrix given as row lists."""
-    mat, pivot_col_of_row = _row_reduce(rows, ncols)
-    pivot_cols = set(pivot_col_of_row)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_col_of_row):
-            v[pc] = -mat[i][fc]
-        basis.append(v)
-    return basis
+def rank_of_columns(cols):
+    """Rank of a list of sparse columns (dicts rowkey -> int or Fraction)."""
+    return _eliminate(cols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +118,28 @@ def _comm(a, b):
     )
 
 
+def _entries(m):
+    """A matrix as a column over its (row, column) positions."""
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)}
+
+
 def make_lie_data(matrices, dim_h, names=()):
     """Structure constants from exact matrices; validates h is a subalgebra."""
     mats = [tuple(tuple(Fraction(x) for x in row) for row in m)
             for m in matrices]
     dim = len(mats)
-    n = len(mats[0])
     pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    comms = [_comm(mats[a], mats[b]) for a, b in pairs]
-    # expand every bracket in the basis by one elimination: a row per matrix
-    # entry, the basis columns first, then one right-hand side per bracket
-    aug = [[m[i][j] for m in mats] + [c[i][j] for c in comms]
-           for i in range(n) for j in range(n)]
-    aug, pivots = _row_reduce(aug, dim)
-    if any(x != 0 for row in aug[len(pivots):] for x in row[dim:]):
-        raise DomainError("element not in the span of the basis")
+    # expand every bracket in the basis by one elimination: the basis columns
+    # first, then the brackets, each of which must reduce to zero
+    _, kernel = _eliminate(
+        [_entries(m) for m in mats]
+        + [_entries(_comm(mats[a], mats[b])) for a, b in pairs], record=True)
     bracket = {}
     for k, pair in enumerate(pairs):
-        entry = {c: aug[i][dim + k] for i, c in enumerate(pivots)
-                 if aug[i][dim + k]}
+        combo = kernel.get(dim + k)
+        if combo is None:
+            raise DomainError("element not in the span of the basis")
+        entry = {i: -combo[i] for i in sorted(combo) if i < dim}
         if entry:
             bracket[pair] = entry
     for a in range(dim_h):
@@ -251,7 +231,7 @@ def _splits(m):
         for ai, mi in zip(a, m):
             coeff *= comb(mi, ai)
         b = tuple(mi - ai for ai, mi in zip(a, m))
-        yield a, b, Fraction(coeff)
+        yield a, b, coeff
 
 
 def _embed(m_w, dim):
@@ -303,7 +283,7 @@ class CochainComplex:
         col = {}
 
         def add(target, coeff):
-            col[target] = col.get(target, Fraction(0)) + coeff
+            col[target] = col.get(target, 0) + coeff
 
         m0, rest = elt[0], elt[1:]
         # j = 0: coproduct on the W leg, second factor lands in V
@@ -316,7 +296,7 @@ class CochainComplex:
                 add(target, (-1) ** (j + 1) * coeff)
         # final counit-style term T (x) 1
         unit = (0,) * d
-        add(elt + (unit,), Fraction((-1) ** (len(rest) + 1)))
+        add(elt + (unit,), (-1) ** (len(rest) + 1))
         return {k: v for k, v in col.items() if v}
 
     def differential(self, n, w):
@@ -404,38 +384,40 @@ class CochainComplex:
             kernel = [{elt: Fraction(1)}
                       for content in contents for elt in blocks[content]]
         else:
-            basis = self.basis(n, w)
-            index = {elt: i for i, elt in enumerate(basis)}
-            nb = len(basis)
-            rows_by_pair = {}
-            for c in range(self.lie.dim_h):
-                for i, elt in enumerate(basis):
-                    for target, coeff in self._h_action(c, elt):
-                        rows_by_pair.setdefault((c, index[target]),
-                                                [Fraction(0)] * nb)[i] += coeff
-            kernel = [{basis[i]: c for i, c in enumerate(vec) if c}
-                      for vec in nullspace_dense(list(rows_by_pair.values()),
-                                                 nb)]
+            # h acts by derivations on each leg, so it keeps the degree of
+            # every leg: one kernel per leg-degree shape
+            shapes = {}
+            for elt in self.basis(n, w):
+                shapes.setdefault(tuple(map(sum, elt)), []).append(elt)
+            kernel = []
+            for elts in shapes.values():
+                _, vanishing = _eliminate(
+                    [self._h_column(elt) for elt in elts], record=True)
+                kernel += [{elts[i]: c for i, c in combo.items()}
+                           for combo in vanishing.values()]
         self._inv_cache[key] = kernel
         return kernel
 
-    def _h_action(self, c, elt):
-        """Diagonal adjoint action of basis vector c of h on a cochain."""
-        d = self.lie.dim
-        for leg in range(len(elt)):
-            m = elt[leg]
-            for i, exp in enumerate(m):
-                if exp == 0:
-                    continue
-                for t, coeff in self.lie.ad(c, i).items():
-                    if leg == 0 and t >= self.lie.dim_h:
-                        # cannot happen: h is a subalgebra in an adapted basis
-                        raise DomainError("h action left the W leg")
-                    lowered = list(m)
-                    lowered[i] -= 1
-                    lowered[t] += 1
-                    target = elt[:leg] + (tuple(lowered),) + elt[leg + 1:]
-                    yield target, exp * coeff
+    def _h_column(self, elt):
+        """The adjoint action of h on one basis element of a cochain space,
+        as a sparse dict (c, target) -> Fraction for basis vector c of h."""
+        col = {}
+        for c in range(self.lie.dim_h):
+            for leg, m in enumerate(elt):
+                for i, exp in enumerate(m):
+                    if exp == 0:
+                        continue
+                    for t, coeff in self.lie.ad(c, i).items():
+                        if leg == 0 and t >= self.lie.dim_h:
+                            # impossible: h is a subalgebra, adapted basis
+                            raise DomainError("h action left the W leg")
+                        lowered = list(m)
+                        lowered[i] -= 1
+                        lowered[t] += 1
+                        key = (c, elt[:leg] + (tuple(lowered),)
+                               + elt[leg + 1:])
+                        col[key] = col.get(key, 0) + exp * coeff
+        return col
 
 
 def build_complex(lie, max_degree=3, max_weight=4):
@@ -458,18 +440,15 @@ def _rank_invariant(cc, n, w):
     if contents is not None:
         # the invariants are whole blocks, and d keeps them in the invariants
         return sum(cc.block_rank(n, content) for content in contents)
-    inv = cc.invariant_basis(n, w)
-    if not inv:
-        return 0
-    cols = cc.differential(n, w)
-    index = {elt: i for i, elt in enumerate(cc.basis(n, w))}
+    columns = {}   # d of each basis element in the support, built once
     combined = []
-    for vec in inv:
+    for vec in cc.invariant_basis(n, w):
         acc = {}
         for elt, coeff in vec.items():
-            for target, c2 in cols[index[elt]].items():
-                acc[target] = acc.get(target, Fraction(0)) + coeff * c2
-        combined.append({k: v for k, v in acc.items() if v})
+            if elt not in columns:
+                columns[elt] = cc._column(elt)
+            _subtract(acc, -coeff, columns[elt])
+        combined.append(acc)
     return rank_of_columns(combined)
 
 

@@ -87,10 +87,13 @@ class _Sylvester:
         """Error out if some k in 1..max_order is within the resonance
         threshold of an eigenvalue difference of ad Lambda."""
         diffs = self.eigdiff.ravel()
-        for d in diffs:
-            k = int(round(d.real))
-            if 1 <= k <= max_order and abs(k - d) < RESONANCE_THRESHOLD:
-                raise ResonanceError(k, f"eigenvalue difference {d:.3e}")
+        ks = np.rint(diffs.real)   # half to even, as round() does
+        hits = np.flatnonzero((1 <= ks) & (ks <= max_order)
+                              & (np.abs(ks - diffs) < RESONANCE_THRESHOLD))
+        if hits.size:
+            d = diffs[hits[0]]
+            raise ResonanceError(int(ks[hits[0]]),
+                                 f"eigenvalue difference {d:.3e}")
 
     def solve(self, k, R):
         if self.diag_ok:

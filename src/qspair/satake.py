@@ -61,21 +61,6 @@ def _tau_matrix(N):
     return tuple(mat)
 
 
-def _reflection(rs, alpha):
-    """Matrix of s_alpha on the ambient coordinates."""
-    n = rs.dim_ambient
-    co = rootdata.coroot(rs, alpha)
-    cols = []
-    for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(1)
-        lam = tuple(e)
-        val = rootdata.pairing(rs, lam, co)
-        cols.append(tuple(lam[i] - val * alpha[i] for i in range(n)))
-    # cols[j] is the image of e_j; transpose into row-major matrix
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
 def _mat_mul(A, B):
     m = len(B[0])
     out = []
@@ -86,26 +71,16 @@ def _mat_mul(A, B):
     return tuple(out)
 
 
-def longest_element_wx(rs, X_labels):
-    """Matrix of w_X, the longest element of the parabolic Weyl group W_X.
-
-    Greedy algorithm: while some alpha_j (j in X) stays positive under w,
-    append s_j on the right; each step raises the length by one.
-    """
-    n = rs.dim_ambient
-    w = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
+def longest_element_wx(N, p):
+    """Matrix of w_X on the L coordinates, X = {p+1, ..., N-p-1}: the longest
+    element of the parabolic Weyl group W_X, which permutes L_{p+1}, ...,
+    L_{N-p}, reverses them."""
+    perm = list(range(N))
+    perm[p:N - p] = reversed(perm[p:N - p])
+    return tuple(
+        tuple(Fraction(1) if j == perm[i] else Fraction(0) for j in range(N))
+        for i in range(N)
     )
-    pos = set(rs.positive_roots)
-    while True:
-        for j in X_labels:
-            alpha = rs.simple_roots[j - 1]
-            if _apply_matrix(w, alpha) in pos:
-                w = _mat_mul(w, _reflection(rs, alpha))
-                break
-        else:
-            return w
 
 
 def build_aiii(N, p):
@@ -120,7 +95,7 @@ def build_aiii(N, p):
 
     # Theta = -w_X . tau on weights
     tau_mat = _tau_matrix(N)
-    wx = longest_element_wx(rs, sorted(X))
+    wx = longest_element_wx(N, p)
     theta = _mat_mul(wx, tau_mat)
     theta = tuple(tuple(-x for x in row) for row in theta)
 

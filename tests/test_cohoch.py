@@ -13,7 +13,6 @@ from qspair.cohoch import (
     euler_characteristic_check,
     make_lie_data,
     monomials,
-    nullspace_dense,
     primitive_cocycle,
     rank_of_columns,
     sl2_data,
@@ -199,16 +198,9 @@ def test_blocked_rank_equals_unblocked_sl2(sub):
 
 
 def _h_kernel_dim(cc, n, w):
-    """dim of the kernel of the h action on C^{n,w}, by dense elimination."""
-    basis = cc.basis(n, w)
-    index = {elt: i for i, elt in enumerate(basis)}
-    rows = {}
-    for c in range(cc.lie.dim_h):
-        for i, elt in enumerate(basis):
-            for target, coeff in cc._h_action(c, elt):
-                rows.setdefault((c, index[target]),
-                                [Fraction(0)] * len(basis))[i] += coeff
-    return len(nullspace_dense(list(rows.values()), len(basis)))
+    """dim of the kernel of the h action on C^{n,w}: #cols - rank."""
+    cols = [cc._h_column(elt) for elt in cc.basis(n, w)]
+    return len(cols) - rank_of_columns(cols)
 
 
 @pytest.mark.parametrize("lie,d,w", [(sl2_data("cartan"), 3, 4),
@@ -218,3 +210,40 @@ def test_weight_zero_invariants_are_the_h_kernel(lie, d, w):
     for n in range(d + 1):
         for k in range(w + 1):
             assert len(cc.invariant_basis(n, k)) == _h_kernel_dim(cc, n, k)
+
+
+def test_make_lie_data_rejects_bracket_outside_span():
+    from qspair.cohoch import _E
+    with pytest.raises(DomainError, match="not in the span"):
+        make_lie_data([_E(2, 0, 1), _E(2, 1, 0)], 0)   # [e, f] = h
+
+
+def hkr_sl3_so3(n, w):
+    """g/h is the spin-2 so3 module, weights -2..2: by sl2 theory the
+    invariants of Lambda^n number mult(0) - mult(1) of its weights."""
+    if n != w:
+        return 0
+    sums = [sum(c) for c in combinations(range(-2, 3), n)]
+    return sums.count(0) - sums.count(1)
+
+
+@pytest.mark.parametrize("d,w", [(2, 3), (3, 3)])
+def test_sl3_so3_invariant_matches_hkr(d, w):
+    dims = cohomology_dims(build_complex(sl3_data("so3"), d, w),
+                           invariant=True)
+    assert dims == {(n, k): hkr_sl3_so3(n, k)
+                    for n in range(d + 1) for k in range(w + 1)}
+
+
+@pytest.mark.parametrize("n,w", [(1, 2), (2, 2), (2, 3)])
+def test_so3_invariants_are_the_h_kernel(n, w):
+    cc = build_complex(sl3_data("so3"), 2, 3)
+    inv = cc.invariant_basis(n, w)
+    for vec in inv:
+        acc = {}
+        for elt, coeff in vec.items():
+            for key, c in cc._h_column(elt).items():
+                acc[key] = acc.get(key, 0) + coeff * c
+        assert not any(acc.values())
+    assert rank_of_columns(inv) == len(inv)
+    assert len(inv) == _h_kernel_dim(cc, n, w) > 0

@@ -47,6 +47,9 @@ CASES = {
     "cohomology/sl3_so3_invariant_d1_w2.csv":
         "cohomology --g sl3 --subalgebra so3 --invariant --max-degree 1 "
         "--max-weight 2 --format csv",
+    "cohomology/sl3_so3_invariant_d2_w3.json":
+        "cohomology --g sl3 --subalgebra so3 --invariant --max-degree 2 "
+        "--max-weight 3",
 }
 
 

@@ -4,7 +4,9 @@ from scipy.linalg import expm
 
 from qspair.errors import ParameterError, ResonanceError, TruncationError
 from qspair.kzmono import (
+    RESONANCE_THRESHOLD,
     KZProblem,
+    _Sylvester,
     central_scalar_matrix,
     first_order_oracle,
     first_order_oracle_s_derivative,
@@ -59,6 +61,50 @@ def test_resonance_error_names_k():
     with pytest.raises(ResonanceError) as exc:
         frobenius_monodromy(KZProblem(z, A0, z))
     assert exc.value.k == 1
+
+
+def test_resonance_error_names_first_offender():
+    # eigenvalue differences 3 at (1, 0), 1 at (2, 0) and 2 at (1, 2): the
+    # first resonance in row-major order of the differences is reported
+    syl = _Sylvester(np.diag([0.0, 3.0, 1.0]).astype(complex))
+    with pytest.raises(ResonanceError) as exc:
+        syl.check_resonances(10)
+    assert exc.value.k == 3
+    with pytest.raises(ResonanceError) as exc:
+        syl.check_resonances(2)
+    assert exc.value.k == 2
+    syl.check_resonances(0)
+
+
+def _resonance_by_loop(eigdiff, max_order):
+    """Reference: the scalar loop over the differences, row-major; the
+    message of the error it would raise, or None."""
+    for d in eigdiff.ravel():
+        k = int(round(d.real))
+        if 1 <= k <= max_order and abs(k - d) < RESONANCE_THRESHOLD:
+            return str(ResonanceError(k, f"eigenvalue difference {d:.3e}"))
+    return None
+
+
+def test_check_resonances_matches_scalar_loop():
+    rng = np.random.default_rng(7)
+    hits = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        vals = (rng.integers(-3, 4, size=n)
+                + rng.choice([0, 0.5, 1e-9, 2e-8, 0.3], size=n)
+                + 1j * rng.choice([0, 1e-9, 0.1], size=n))
+        syl = _Sylvester(np.diag(vals))
+        max_order = int(rng.integers(0, 5))
+        want = _resonance_by_loop(syl.eigdiff, max_order)
+        try:
+            syl.check_resonances(max_order)
+            got = None
+        except ResonanceError as exc:
+            got = str(exc)
+        assert got == want
+        hits += want is not None
+    assert hits > 50
 
 
 def test_truncation_error():

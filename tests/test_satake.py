@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 
 from qspair.errors import DomainError, ParameterError
+from qspair.rootdata import build_type_a
 from qspair.satake import (
     build_aiii,
     dim_m,
+    longest_element_wx,
     normalization_constants,
     partition_roots,
     restricted_half_root,
+    _apply_matrix,
     theta_weight,
 )
 
@@ -241,3 +244,18 @@ def _closed_form_cascade(N, p):
     + [(24, 12), (32, 16)])
 def test_cascade_matches_closed_form(N, p):
     assert build_aiii(N, p).cascade == _closed_form_cascade(N, p)
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_longest_element_wx_reverses_the_black_block(N):
+    rs = build_type_a(N)
+    positive = set(rs.positive_roots)
+    for p in range(1, N // 2 + 1):
+        w = longest_element_wx(N, p)
+        moved = {i for i in range(N) if w[i][i] != 1}
+        assert moved <= set(range(p, N - p))     # coordinates p+1..N-p
+        assert all(sorted(row) == [0] * (N - 1) + [1] for row in w)
+        assert all(sorted(col) == [0] * (N - 1) + [1] for col in zip(*w))
+        for j in range(p + 1, N - p):
+            image = _apply_matrix(w, rs.simple_roots[j - 1])
+            assert tuple(-x for x in image) in positive
