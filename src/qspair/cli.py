@@ -49,13 +49,14 @@ EXIT_CODES = {
     DomainError: 8,
     ShapeError: 9,
     QspairError: 10,
+    MemoryError: 11,
 }
 
 EPILOG = """exit codes:
   0 success         1 verify-all failure      2 usage error
   3 parameter       4 resonance               5 series truncation
   6 structural      7 comparison failure      8 domain error
-  9 shape mismatch 10 other qspair error
+  9 shape mismatch 10 other qspair error     11 out of memory
 
 environment:
   QSPAIR_TOL  overrides the default Frobenius series tolerance (1e-12)
@@ -450,8 +451,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except QspairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (QspairError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         # the nearest listed class, so a subclass shares its family's code
         return next(EXIT_CODES[c] for c in type(exc).__mro__
                     if c in EXIT_CODES)

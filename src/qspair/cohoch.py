@@ -11,6 +11,12 @@ symmetric coalgebra (the dual of polynomial multiplication) to one leg.  The
 symmetrization coalgebra isomorphism Sym^c(g) = U(g) makes this compute the
 same cohomology as the enveloping-algebra complex; it is never materialized.
 
+d keeps the letter content of a cochain (its exponents summed over the
+legs), so C^{n,w} splits into content blocks and no whole C^{n,w} is ever
+built: its dimension is a sum of closed-form block sizes, its rank a sum of
+block ranks, and its h-invariant counterparts are signed sums over the
+torus weights of the blocks.
+
 Everything is exact: the differential has integer entries and the
 elimination works over Fractions.  Rank is discontinuous, so floats never
 enter.
@@ -79,11 +85,21 @@ def rank_of_columns(cols):
 
 @dataclass
 class LieData:
-    """Structure constants in an adapted basis; first dim_h vectors span h."""
+    """Structure constants in an adapted basis; first dim_h vectors span h.
+
+    The torus-weight record: weights[i] is the weight of X_i under a torus
+    of h that acts diagonally on the basis, and shifts is a tuple of
+    (sign, weight) with dim M^h = sum of sign * dim M_weight for every
+    finite-dimensional h-module M, h acting semisimply.  A torus that is
+    all of h has the one shift (1, 0); an sl2 with root alpha has
+    (1, 0), (-1, alpha), which is dim M^h = m_0 - m_alpha.
+    """
 
     dim: int
     dim_h: int
     bracket: dict          # (a, b) -> dict index -> Fraction, for a < b
+    weights: tuple         # one weight tuple per basis vector
+    shifts: tuple          # (sign, weight) pairs
     names: tuple = ()
 
     def ad(self, a, b):
@@ -94,17 +110,10 @@ class LieData:
             return self.bracket.get((a, b), {})
         return {k: -v for k, v in self.bracket.get((b, a), {}).items()}
 
-    def diagonal_weights(self):
-        """Weight of each basis vector under h, a tuple with one entry per
-        basis vector of h, when h acts diagonally on the basis (ad(c, i) lies
-        in span{X_i}, as for a Cartan subalgebra); None otherwise."""
-        weights = []
-        for i in range(self.dim):
-            acts = [self.ad(c, i) for c in range(self.dim_h)]
-            if any(set(act) - {i} for act in acts):
-                return None
-            weights.append(tuple(act.get(i, 0) for act in acts))
-        return weights
+    def weight(self, content):
+        """Torus weight of a monomial with these exponents."""
+        return tuple(sum(c * wt[k] for c, wt in zip(content, self.weights))
+                     for k in range(len(self.weights[0])))
 
 
 def _comm(a, b):
@@ -123,8 +132,13 @@ def _entries(m):
     return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)}
 
 
-def make_lie_data(matrices, dim_h, names=()):
-    """Structure constants from exact matrices; validates h is a subalgebra."""
+def make_lie_data(matrices, dim_h, names=(), torus=(), shifts=None):
+    """Structure constants from exact matrices; validates h is a subalgebra.
+
+    torus indexes the basis vectors of h that span the torus, which must act
+    diagonally on the basis; shifts defaults to the one shift (1, 0), whose
+    invariants are the weight-zero vectors.
+    """
     mats = [tuple(tuple(Fraction(x) for x in row) for row in m)
             for m in matrices]
     dim = len(mats)
@@ -146,7 +160,15 @@ def make_lie_data(matrices, dim_h, names=()):
         for b in range(a + 1, dim_h):
             if any(i >= dim_h for i in bracket.get((a, b), {})):
                 raise DomainError("h is not a subalgebra")
-    return LieData(dim=dim, dim_h=dim_h, bracket=bracket, names=tuple(names))
+    lie = LieData(dim=dim, dim_h=dim_h, bracket=bracket, weights=(),
+                  shifts=shifts or ((1, (0,) * len(torus)),),
+                  names=tuple(names))
+    acts = [[lie.ad(t, i) for t in torus] for i in range(dim)]
+    if any(set(act) - {i} for i, row in enumerate(acts) for act in row):
+        raise DomainError("the torus does not act diagonally on the basis")
+    lie.weights = tuple(tuple(act.get(i, 0) for act in row)
+                        for i, row in enumerate(acts))
+    return lie
 
 
 def _E(n, i, j):
@@ -173,11 +195,21 @@ def sl2_data(subalgebra="zero"):
     if subalgebra == "zero":
         return make_lie_data([e, hh, f], 0, names=("e", "h", "f"))
     if subalgebra == "cartan":
-        return make_lie_data([hh, e, f], 1, names=("h", "e", "f"))
+        return make_lie_data([hh, e, f], 1, names=("h", "e", "f"), torus=(0,))
     raise ParameterError(f"sl2 supports zero|cartan, got {subalgebra!r}")
 
 
 def sl3_data(subalgebra="zero"):
+    """sl3 with h = 0, the Cartan subalgebra, or so3.
+
+    so3 is taken as the principal sl2, e = E01 + E12, h = diag(1, 0, -1),
+    f = E10 + E21, completed by E02, E01, E10, E20, diag(1, -2, 1); every
+    basis vector is an ad h weight vector.  This basis replaced the
+    antisymmetric one, E_ij - E_ji: both subalgebras are the image of the
+    irreducible 3-dimensional representation, so they are conjugate in
+    GL_3(C) and the cohomology tables agree, but only this one lets the
+    invariant tables be counted from torus weights.
+    """
     hs = [
         _madd((Fraction(1), _E(3, 0, 0)), (Fraction(-1), _E(3, 1, 1))),
         _madd((Fraction(1), _E(3, 1, 1)), (Fraction(-1), _E(3, 2, 2))),
@@ -187,19 +219,19 @@ def sl3_data(subalgebra="zero"):
     if subalgebra == "zero":
         return make_lie_data(hs + es + fs, 0)
     if subalgebra == "cartan":
-        return make_lie_data(hs + es + fs, 2)
+        return make_lie_data(hs + es + fs, 2, torus=(0, 1))
     if subalgebra == "so3":
-        anti = [
-            _madd((Fraction(1), _E(3, 0, 1)), (Fraction(-1), _E(3, 1, 0))),
-            _madd((Fraction(1), _E(3, 0, 2)), (Fraction(-1), _E(3, 2, 0))),
-            _madd((Fraction(1), _E(3, 1, 2)), (Fraction(-1), _E(3, 2, 1))),
+        one = Fraction(1)
+        principal = [
+            _madd((one, _E(3, 0, 1)), (one, _E(3, 1, 2))),
+            _madd((one, _E(3, 0, 0)), (-one, _E(3, 2, 2))),
+            _madd((one, _E(3, 1, 0)), (one, _E(3, 2, 1))),
         ]
-        sym = [
-            _madd((Fraction(1), _E(3, 0, 1)), (Fraction(1), _E(3, 1, 0))),
-            _madd((Fraction(1), _E(3, 0, 2)), (Fraction(1), _E(3, 2, 0))),
-            _madd((Fraction(1), _E(3, 1, 2)), (Fraction(1), _E(3, 2, 1))),
-        ]
-        return make_lie_data(anti + sym + hs, 3)
+        rest = [_E(3, 0, 2), _E(3, 0, 1), _E(3, 1, 0), _E(3, 2, 0),
+                _madd((one, _E(3, 0, 0)), (-2 * one, _E(3, 1, 1)),
+                      (one, _E(3, 2, 2)))]
+        return make_lie_data(principal + rest, 3, torus=(1,),
+                             shifts=((1, (0,)), (-1, (1,))))
     raise ParameterError(f"sl3 supports zero|cartan|so3, got {subalgebra!r}")
 
 
@@ -251,31 +283,39 @@ def _content(elt, dim):
 
 @dataclass
 class CochainComplex:
+    """C^{n,w} as a direct sum of letter-content blocks.
+
+    A basis element of C^n is a tuple (m0, m1, ..., mn) of exponent tuples,
+    m0 over the letters of h (the W leg) and the rest over all letters.  An
+    h letter spreads its exponent over n + 1 legs, any other letter over
+    the n legs of V.
+    """
+
     lie: LieData
     max_degree: int
     max_weight: int
-    _basis_cache: dict = field(default_factory=dict)
-    _diff_cache: dict = field(default_factory=dict)
-    _inv_cache: dict = field(default_factory=dict)
-    _block_cache: dict = field(default_factory=dict)
     _block_rank_cache: dict = field(default_factory=dict)
-    _rank_cache: dict = field(default_factory=dict)
 
-    def basis(self, n, w):
-        """Basis of C^{n,w}: tuples (m0, m1, ..., mn) of exponent tuples."""
-        key = (n, w)
-        if key in self._basis_cache:
-            return self._basis_cache[key]
-        d, dh = self.lie.dim, self.lie.dim_h
+    def block(self, n, content):
+        """Basis of the block of C^n with this letter content."""
+        dh = self.lie.dim_h
+        spreads = [monomials(n + 1 if i < dh else n, c)
+                   for i, c in enumerate(content)]
         out = []
-        for w0 in range(w + 1):
-            for m0 in monomials(dh, w0):
-                for rest_w in monomials(n, w - w0):
-                    for rest in itertools.product(
-                            *[monomials(d, k) for k in rest_w]):
-                        out.append((m0,) + rest)
-        self._basis_cache[key] = out
+        for spread in itertools.product(*spreads):
+            legs = list(zip(*(s if i < dh else (0,) + s
+                              for i, s in enumerate(spread))))
+            out.append((legs[0][:dh],) + tuple(legs[1:]))
         return out
+
+    def block_size(self, n, content):
+        """len(block(n, content)) in closed form: an exponent c spreads over
+        L legs in C(c + L - 1, L - 1) ways."""
+        size = 1
+        for i, c in enumerate(content):
+            legs = n + 1 if i < self.lie.dim_h else n
+            size *= comb(c + legs - 1, legs - 1) if legs else int(c == 0)
+        return size
 
     def _column(self, elt):
         """d of one basis element of C^n as a sparse dict."""
@@ -299,24 +339,6 @@ class CochainComplex:
         add(elt + (unit,), (-1) ** (len(rest) + 1))
         return {k: v for k, v in col.items() if v}
 
-    def differential(self, n, w):
-        """Sparse columns of d: C^{n,w} -> C^{n+1,w}, one per basis element."""
-        key = (n, w)
-        if key not in self._diff_cache:
-            self._diff_cache[key] = [self._column(e) for e in self.basis(n, w)]
-        return self._diff_cache[key]
-
-    def blocks(self, n, w):
-        """The basis of C^{n,w} grouped by letter content: content -> basis
-        elements, in basis order."""
-        key = (n, w)
-        if key not in self._block_cache:
-            groups = {}
-            for elt in self.basis(n, w):
-                groups.setdefault(_content(elt, self.lie.dim), []).append(elt)
-            self._block_cache[key] = groups
-        return self._block_cache[key]
-
     def block_rank(self, n, content):
         """Rank of d on the block of C^n with this letter content.
 
@@ -328,96 +350,48 @@ class CochainComplex:
         dh = self.lie.dim_h
         key = (n, tuple(sorted(content[:dh])), tuple(sorted(content[dh:])))
         if key not in self._block_rank_cache:
-            elts = self.blocks(n, sum(content))[content]
             self._block_rank_cache[key] = rank_of_columns(
-                [self._column(e) for e in elts])
+                [self._column(e) for e in self.block(n, content)])
         return self._block_rank_cache[key]
 
+    def _count(self, n, w, invariant, per_block):
+        """Sum of per_block(n, content) over the blocks of C^{n,w}.
+
+        For the h-invariants each block counts with the sign of the shift
+        its torus weight equals, and not at all if there is none: d is
+        h-equivariant, so the invariant dimension and rank follow from the
+        weight spaces, which are sums of blocks.
+        """
+        total = 0
+        for content in monomials(self.lie.dim, w):
+            sign = 1
+            if invariant:
+                weight = self.lie.weight(content)
+                sign = sum(s for s, shift in self.lie.shifts if shift == weight)
+            if sign:
+                total += sign * per_block(n, content)
+        return total
+
+    def dim(self, n, w, invariant=False):
+        """dim C^{n,w}, or of its h-invariants."""
+        return self._count(n, w, invariant, self.block_size)
+
     def rank(self, n, w, invariant=False):
-        """rank d^{n,w} on C^{n,w}, or on its h-invariants; computed once."""
+        """rank d^{n,w} on C^{n,w}, or on its h-invariants."""
         if n < 0:
             return 0
-        key = (n, w, invariant)
-        if key not in self._rank_cache:
-            compute = _rank_invariant if invariant else _rank_plain
-            self._rank_cache[key] = compute(self, n, w)
-        return self._rank_cache[key]
+        return self._count(n, w, invariant, self.block_rank)
 
     def check_d_squared(self, n, w):
-        """Exact d . d = 0 at bidegree (n, w)."""
-        cols_n = self.differential(n, w)
-        cols_n1 = self.differential(n + 1, w)
-        index = {elt: i for i, elt in enumerate(self.basis(n + 1, w))}
-        for col in cols_n:
-            acc = {}
-            for target, coeff in col.items():
-                for t2, c2 in cols_n1[index[target]].items():
-                    acc[t2] = acc.get(t2, Fraction(0)) + coeff * c2
-            if any(v != 0 for v in acc.values()):
-                return False
+        """Exact d . d = 0 at bidegree (n, w), block by block."""
+        for content in monomials(self.lie.dim, w):
+            for elt in self.block(n, content):
+                acc = {}
+                for target, coeff in self._column(elt).items():
+                    _subtract(acc, -coeff, self._column(target))
+                if acc:
+                    return False
         return True
-
-    def invariant_contents(self, n, w):
-        """The contents of C^{n,w} of weight zero when h acts diagonally on
-        the basis (then these blocks span the invariants); None otherwise."""
-        weights = self.lie.diagonal_weights()
-        if weights is None:
-            return None
-        return [content for content in self.blocks(n, w)
-                if all(sum(e * wt[c] for e, wt in zip(content, weights)) == 0
-                       for c in range(self.lie.dim_h))]
-
-    def invariant_basis(self, n, w):
-        """Rational basis of the h-invariants in C^{n,w}, as sparse vectors
-        (dicts basis element -> Fraction).
-
-        When h acts diagonally, each basis element is a weight vector whose
-        weight is fixed by its content, and the invariants are the weight-zero
-        basis elements.  Otherwise they are the kernel of the h action.
-        """
-        key = (n, w)
-        if key in self._inv_cache:
-            return self._inv_cache[key]
-        contents = self.invariant_contents(n, w)
-        if contents is not None:
-            blocks = self.blocks(n, w)
-            kernel = [{elt: Fraction(1)}
-                      for content in contents for elt in blocks[content]]
-        else:
-            # h acts by derivations on each leg, so it keeps the degree of
-            # every leg: one kernel per leg-degree shape
-            shapes = {}
-            for elt in self.basis(n, w):
-                shapes.setdefault(tuple(map(sum, elt)), []).append(elt)
-            kernel = []
-            for elts in shapes.values():
-                _, vanishing = _eliminate(
-                    [self._h_column(elt) for elt in elts], record=True)
-                kernel += [{elts[i]: c for i, c in combo.items()}
-                           for combo in vanishing.values()]
-        self._inv_cache[key] = kernel
-        return kernel
-
-    def _h_column(self, elt):
-        """The adjoint action of h on one basis element of a cochain space,
-        as a sparse dict (c, target) -> Fraction for basis vector c of h."""
-        col = {}
-        for c in range(self.lie.dim_h):
-            for leg, m in enumerate(elt):
-                for i, exp in enumerate(m):
-                    if exp == 0:
-                        continue
-                    for t, coeff in self.lie.ad(c, i).items():
-                        if leg == 0 and t >= self.lie.dim_h:
-                            # impossible: h is a subalgebra, adapted basis
-                            raise DomainError("h action left the W leg")
-                        lowered = list(m)
-                        lowered[i] -= 1
-                        lowered[t] += 1
-                        key = (c, elt[:leg] + (tuple(lowered),)
-                               + elt[leg + 1:])
-                        col[key] = col.get(key, 0) + exp * coeff
-        return col
 
 
 def build_complex(lie, max_degree=3, max_weight=4):
@@ -429,36 +403,9 @@ def build_complex(lie, max_degree=3, max_weight=4):
 # ---------------------------------------------------------------------------
 # cohomology
 
-def _rank_plain(cc, n, w):
-    """rank d^{n,w}: the sum of its block ranks, blocks by letter content."""
-    return sum(cc.block_rank(n, content) for content in cc.blocks(n, w))
-
-
-def _rank_invariant(cc, n, w):
-    """rank of d^{n,w} on the h-invariants."""
-    contents = cc.invariant_contents(n, w)
-    if contents is not None:
-        # the invariants are whole blocks, and d keeps them in the invariants
-        return sum(cc.block_rank(n, content) for content in contents)
-    columns = {}   # d of each basis element in the support, built once
-    combined = []
-    for vec in cc.invariant_basis(n, w):
-        acc = {}
-        for elt, coeff in vec.items():
-            if elt not in columns:
-                columns[elt] = cc._column(elt)
-            _subtract(acc, -coeff, columns[elt])
-        combined.append(acc)
-    return rank_of_columns(combined)
-
-
-def _dim(cc, n, w, invariant):
-    return len(cc.invariant_basis(n, w)) if invariant else len(cc.basis(n, w))
-
-
 def cohomology_dims(cc, invariant=False):
     """dim H^{n,w} for n <= max_degree, w <= max_weight; exact integers."""
-    return {(n, w): (_dim(cc, n, w, invariant) - cc.rank(n, w, invariant)
+    return {(n, w): (cc.dim(n, w, invariant) - cc.rank(n, w, invariant)
                      - cc.rank(n - 1, w, invariant))
             for w in range(cc.max_weight + 1)
             for n in range(cc.max_degree + 1)}
@@ -474,7 +421,7 @@ def euler_characteristic_check(cc, w, invariant=False):
     dims = cohomology_dims(cc, invariant=invariant)
     top = cc.max_degree
     chi_h = sum((-1) ** n * dims[(n, w)] for n in range(top + 1))
-    chi_c = sum((-1) ** n * _dim(cc, n, w, invariant) for n in range(top + 1))
+    chi_c = sum((-1) ** n * cc.dim(n, w, invariant) for n in range(top + 1))
     return chi_h == chi_c - (-1) ** top * cc.rank(top, w, invariant)
 
 
@@ -490,7 +437,17 @@ def primitive_cocycle(cc, letters):
     return (m0,) + tuple(legs)
 
 
-def cocycle_is_coboundary(cc, n, w, elt_vector):
-    """Whether a cocycle (dense dict basis elt -> Fraction) is in im(d)."""
-    cols = cc.differential(n - 1, w)
-    return rank_of_columns(cols + [elt_vector]) == cc.rank(n - 1, w)
+def cocycle_is_coboundary(cc, n, vector):
+    """Whether a cocycle of C^n (dict basis elt -> Fraction) is in im(d).
+
+    d keeps the letter content, so it is one exactly when each of its
+    content parts is in the image of its block of C^{n-1}.
+    """
+    parts = {}
+    for elt, coeff in vector.items():
+        parts.setdefault(_content(elt, cc.lie.dim), {})[elt] = coeff
+    for content, part in parts.items():
+        cols = [cc._column(e) for e in cc.block(n - 1, content)]
+        if rank_of_columns(cols + [part]) != cc.block_rank(n - 1, content):
+            return False
+    return True

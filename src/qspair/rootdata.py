@@ -68,10 +68,6 @@ def _sub(v, w):
     return tuple(a - b for a, b in zip(v, w))
 
 
-def _neg(v):
-    return tuple(-a for a in v)
-
-
 def build_type_a(N):
     """The A_{N-1} root system realized in L_i coordinates."""
     if N < 2:

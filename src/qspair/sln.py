@@ -12,7 +12,6 @@ equals H_alpha on the nose and no structure-constant phases appear.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -142,9 +141,6 @@ class PairRealization:
         ad = Z @ X - X @ Z
         ad2 = Z @ ad - ad @ Z
         return -0.5 * (ad2 - 1j * ad)
-
-    def a_nu_squared(self):
-        return Fraction(self.N, self.p * (self.N - self.p))
 
 
 def _eij(N, i, j):

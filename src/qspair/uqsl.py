@@ -47,17 +47,6 @@ class UqFundamental:
     F: list
     K: list
 
-    def K_omega(self, omega):
-        """Diagonal matrix q^{(L_j, omega)} for a rational weight omega."""
-        from .rootdata import build_type_a
-        rs = build_type_a(self.N)
-        diag = []
-        for j in range(self.N):
-            L = [Fraction(0)] * self.N
-            L[j] = Fraction(1)
-            diag.append(_qpow(self.q, pairing(rs, tuple(L), omega)))
-        return np.diag(diag).astype(complex)
-
 
 def fundamental(N, q):
     """pi_V(E_i) = q^{1/2} e_{i,i+1}, pi_V(F_i) = q^{-1/2} e_{i+1,i}."""

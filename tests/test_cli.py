@@ -128,7 +128,8 @@ class _SubParameterError(ParameterError):
 
 
 @pytest.mark.parametrize("exc,code", [(_SubParameterError("bad n"), 3),
-                                      (QspairError("unclassified"), 10)])
+                                      (QspairError("unclassified"), 10),
+                                      (MemoryError("no room"), 11)])
 def test_exit_code_follows_error_family(monkeypatch, capsys, exc, code):
     def raise_it(*args):
         raise exc
@@ -136,6 +137,15 @@ def test_exit_code_follows_error_family(monkeypatch, capsys, exc, code):
     monkeypatch.setattr(cli, "build_aiii", raise_it)
     assert main(["satake", "--n", "3", "--p", "1"]) == code
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_bare_memory_error_gets_one_line(monkeypatch, capsys):
+    def raise_it(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_aiii", raise_it)
+    assert main(["satake", "--n", "3", "--p", "1"]) == 11
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_determinism(capsys):

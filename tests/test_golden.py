@@ -50,6 +50,8 @@ CASES = {
     "cohomology/sl3_so3_invariant_d2_w3.json":
         "cohomology --g sl3 --subalgebra so3 --invariant --max-degree 2 "
         "--max-weight 3",
+    "cohomology/sl3_so3_invariant.json":
+        "cohomology --g sl3 --subalgebra so3 --invariant",
 }
 
 

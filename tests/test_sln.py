@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_ad_znu_cubed(pr):
 
 def test_znu_normalization(pr):
     val = np.trace(pr.Znu @ pr.Znu)
-    assert abs(val + 1 / float(pr.a_nu_squared())) < 1e-13
+    assert abs(val + 1 / float(Fraction(pr.N, pr.p * (pr.N - pr.p)))) < 1e-13
 
 
 def test_split_tensor_sum(pr):

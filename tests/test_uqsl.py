@@ -62,13 +62,6 @@ def test_defining_relations():
         assert defining_relation_residual(fundamental(N, Q)) < 1e-12
 
 
-def test_k_omega():
-    uq = fundamental(2, Q)
-    alpha1 = (Fraction(1), Fraction(-1))
-    m = uq.K_omega(alpha1)
-    assert np.allclose(np.diag(m), [Q, 1 / Q])
-
-
 def test_r_matrix_n2_closed_form():
     R = r_matrix(2, Q)
     expected = np.diag([1 / Q, 1.0, 1.0, 1 / Q]).astype(complex)
