@@ -18,13 +18,24 @@ braid, the cyclotomic associator and R_KZ = exp(-h t^u), and compares traces
 of words, which are invariants of the representation equivalence.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from scipy import sparse
 
+from . import blocks
 from .errors import ComparisonError, ParameterError, ShapeError
 from .kzmono import psi_kz, r_kz, ribbon_kz
-from .sln import flip_matrix, fundamental_rep, permute_legs, realize, tensor_rep
+from .sln import (
+    embed_on_legs,
+    flip_matrix,
+    fundamental_rep,
+    permute_legs,
+    realize,
+    tensor_rep,
+)
 from .uqsl import (
     make_params,
     r_matrix,
@@ -39,20 +50,21 @@ INVERTIBLE_COND_LIMIT = 1e12
 class BraidRep:
     n: int
     dim: int
-    rho1: np.ndarray
-    sigma: list          # sigma_1 .. sigma_{n-1}
+    rho1: sparse.csr_array
+    sigma: list          # sigma_1 .. sigma_{n-1}, CSR
     grouping: str
     residuals: dict
 
 
 def build_rep(E, R, psi_family, n, dims):
-    """Assemble the Gamma_n generator matrices.
+    """Assemble the Gamma_n generator matrices as CSR matrices.
 
     E acts on V (x) W, R on W (x) W.  psi_family("0,1,2") must return the
     associator on V (x) W (x) W and psi_family("01,2,3") the grouped one on
-    (V (x) W) (x) W (x) W; families recompute with tensor-product
-    representations on merged legs.  The fixed parenthesization needs no Phi
-    for n <= 3.
+    (V (x) W) (x) W (x) W, dense or sparse; families recompute with
+    tensor-product representations on merged legs.  The associators are
+    inverted block by block (blocks.inverse).  The fixed parenthesization
+    needs no Phi for n <= 3.
     """
     if n not in (1, 2, 3):
         raise ParameterError("n <= 3 strand budget (dimension grows fast)")
@@ -62,29 +74,32 @@ def build_rep(E, R, psi_family, n, dims):
     if R.shape != (dw * dw, dw * dw):
         raise ShapeError(f"R must act on W (x) W, got {R.shape}")
     total = dv * dw ** n
+    rho1 = embed_on_legs(E, (dv * dw, dw ** (n - 1)), (0,))
     if n == 1:
-        rep = BraidRep(n=1, dim=total, rho1=E.copy(), sigma=[],
+        rep = BraidRep(n=1, dim=total, rho1=rho1, sigma=[],
                        grouping="V.W", residuals={})
         rep.residuals = relation_residuals(rep)
         return rep
     sR = flip_matrix(dw) @ R
-    eye_w = np.eye(dw)
+
+    def conjugate(psi, left):
+        """psi^{-1} (1_left (x) Sigma R) psi."""
+        psi = _csr(psi)
+        middle = embed_on_legs(sR, (left, dw * dw), (1,))
+        return blocks.inverse(psi) @ middle @ psi
 
     psi = psi_family("0,1,2")
     if psi.shape != (dv * dw * dw,) * 2:
         raise ShapeError("psi_family returned a wrong-sized associator")
-    sigma1_small = np.linalg.solve(psi, np.kron(np.eye(dv), sR)) @ psi
-    rho1 = np.kron(E, np.eye(dw ** (n - 1)))
+    sigma1_small = conjugate(psi, dv)
     if n == 2:
         sigma = [sigma1_small]
     else:
-        sigma1 = np.kron(sigma1_small, eye_w)
+        sigma1 = embed_on_legs(sigma1_small, (dv * dw * dw, dw), (0,))
         psi_01 = psi_family("01,2,3")
         if psi_01.shape != (total,) * 2:
             raise ShapeError("grouped associator has a wrong size")
-        sigma2 = np.linalg.solve(
-            psi_01, np.kron(np.eye(dv * dw), sR)) @ psi_01
-        sigma = [sigma1, sigma2]
+        sigma = [sigma1, conjugate(psi_01, dv * dw)]
 
     grouping = "(V.W).W" if n == 2 else "((V.W).W).W"
     rep = BraidRep(n=n, dim=total, rho1=rho1, sigma=sigma,
@@ -93,15 +108,28 @@ def build_rep(E, R, psi_family, n, dims):
     return rep
 
 
+def _csr(m):
+    return m if sparse.issparse(m) else sparse.csr_array(m)
+
+
+def _fro(m):
+    """Frobenius norm of a CSR matrix."""
+    return float(np.linalg.norm(m.data))
+
+
 def relation_residuals(rep):
-    """Residual norms of the Gamma_n relations, normalized by matrix scale."""
+    """Residual norms of the Gamma_n relations, normalized by matrix scale.
+
+    The generators may be dense or sparse; products are taken sparse.
+    """
     out = {}
 
     def rel(name, A, B):
-        scale = max(np.linalg.norm(A), np.linalg.norm(B), 1e-300)
-        out[name] = float(np.linalg.norm(A - B) / scale)
+        scale = max(_fro(A), _fro(B), 1e-300)
+        out[name] = _fro(A - B) / scale
 
-    r, sig = rep.rho1, rep.sigma
+    r = _csr(rep.rho1)
+    sig = [_csr(s) for s in rep.sigma]
     for i in range(len(sig)):
         for j in range(i + 2, len(sig)):
             rel(f"sigma_comm_{i + 1}_{j + 1}", sig[i] @ sig[j], sig[j] @ sig[i])
@@ -112,9 +140,8 @@ def relation_residuals(rep):
         if i >= 1:
             rel(f"rho_sigma_comm_{i + 1}", r @ sig[i], sig[i] @ r)
     if sig:
-        rel("type_b",
-            r @ sig[0] @ r @ sig[0],
-            sig[0] @ r @ sig[0] @ r)
+        rs, sr = r @ sig[0], sig[0] @ r
+        rel("type_b", rs @ rs, sr @ sr)
     for i, s in enumerate(sig):
         if not _invertible(s):
             raise ComparisonError(f"sigma_{i + 1} is not invertible")
@@ -126,23 +153,26 @@ def relation_residuals(rep):
 def _invertible(m):
     """Scale-free test: |det| shrinks with the dimension even for well
     conditioned generators, the condition number does not."""
-    return np.linalg.cond(m) < INVERTIBLE_COND_LIMIT
+    return blocks.cond(m) < INVERTIBLE_COND_LIMIT
 
 
 def word_matrix(rep, word):
-    """Evaluate a word given as tokens rho1 / sigma1 / sigma2 / ... ."""
-    total = np.eye(rep.dim, dtype=complex)
+    """Evaluate a word given as tokens rho1 / sigma1 / sigma2 / ..., as a
+    CSR matrix."""
+    mats = []
     for tok in word:
         if tok in ("rho1", "r1", "rho"):
-            total = total @ rep.rho1
+            mats.append(rep.rho1)
         elif tok.startswith("sigma"):
             i = int(tok[len("sigma"):])
             if not 1 <= i <= len(rep.sigma):
                 raise ParameterError(f"no generator {tok} at n={rep.n}")
-            total = total @ rep.sigma[i - 1]
+            mats.append(rep.sigma[i - 1])
         else:
             raise ParameterError(f"unknown braid token {tok!r}")
-    return total
+    if not mats:
+        return sparse.eye_array(rep.dim, dtype=complex, format="csr")
+    return reduce(operator.matmul, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +194,7 @@ def q_side_rep(N, p, t, h, n):
 
     def psi_one(grouping):
         d = N ** (len(grouping.split(",")) + (1 if "01" in grouping else 0))
-        return np.eye(d, dtype=complex)
+        return sparse.eye_array(d, dtype=complex, format="csr")
 
     rep = build_rep(E, scal * R, psi_one, n, (N, N))
     return rep, kr
@@ -213,8 +243,8 @@ def kohno_drinfeld_compare(N, p, t=None, h=0.05, words=DEFAULT_WORDS, n=2,
     rows = []
     worst = 0.0
     for word in words:
-        tq = complex(np.trace(word_matrix(qrep, word)))
-        tk = complex(np.trace(word_matrix(krep, word)))
+        tq = complex(word_matrix(qrep, word).trace())
+        tk = complex(word_matrix(krep, word).trace())
         delta = abs(tq - tk)
         worst = max(worst, delta)
         rows.append({"word": list(word), "q_side": tq, "kz_side": tk,
@@ -225,6 +255,6 @@ def kohno_drinfeld_compare(N, p, t=None, h=0.05, words=DEFAULT_WORDS, n=2,
         "fit": {"s": s, "s_plus_mu": x, "g": kr.fitted_g},
         "q_residuals": qrep.residuals,
         "kz_residuals": krep.residuals,
-        "det_rho1_q": complex(np.linalg.det(qrep.rho1)),
-        "det_rho1_kz": complex(np.linalg.det(krep.rho1)),
+        "det_rho1_q": blocks.det(qrep.rho1),
+        "det_rho1_kz": blocks.det(krep.rho1),
     }

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 from . import acceptance, cohoch
 from .braidb import DEFAULT_WORDS, kohno_drinfeld_compare, kz_side_rep, q_side_rep
@@ -92,7 +93,7 @@ def _jsonify(obj):
 
 
 def _matrix_json(m):
-    return _jsonify(np.asarray(m))
+    return _jsonify(m.toarray() if sparse.issparse(m) else np.asarray(m))
 
 
 def emit(command, config, results, residuals=None, status="ok", out=None,

@@ -12,8 +12,11 @@ w = 1/2.  The normalized 0 -> 1 monodromy is
         = (1/2)^{-A_1} H_1(1/2)^{-1} H_0(1/2) (1/2)^{A_0}.
 
 Coefficients of each series solve Sylvester equations
-(k - ad Lambda) H_k = RHS_k, done by diagonalizing Lambda once, with a dense
-fallback when the eigenbasis is ill conditioned.
+(k - ad Lambda) H_k = RHS_k.  The operators conserve weight, so the problem
+splits into small blocks (the connected components of the joint sparsity
+pattern); the blocks of one size run as one stacked array, each in the
+eigenbasis of its Lambda, with a Kronecker-form fallback when that basis is
+ill conditioned.  Psi comes back as a CSR matrix.
 
 On top of the engine sit the cyclotomic associator Psi_{KZ,s;mu}, Drinfeld's
 Phi_KZ, the R-matrix exp(-h t^u), the ribbon (sigma-)braids, the first-order
@@ -24,9 +27,11 @@ identities.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import digamma
 
+from .blocks import Blocks
 from .errors import DomainError, ParameterError, ResonanceError, TruncationError
 from .sln import (
     build_leg_tensor,
@@ -39,6 +44,7 @@ from .sln import (
 EULER_GAMMA = 0.5772156649015328606
 
 RESONANCE_THRESHOLD = 1e-8
+RESONANCE_CHUNK = 1 << 16   # eigenvalue differences checked at a time
 EIG_COND_LIMIT = 1e8
 
 
@@ -60,33 +66,22 @@ class KZProblem:
 
 @dataclass
 class AssociatorResult:
-    psi: np.ndarray
+    psi: sparse.csr_array
     order_used: int
     tail_estimate: float
 
 
-class _Sylvester:
-    """Solver for (k - ad Lambda) X = R, k = 1, 2, ...
+def check_resonances(vals, max_order):
+    """Error out if some k in 1..max_order is within the resonance threshold
+    of an eigenvalue difference vals[i] - vals[j].
 
-    Diagonalizes Lambda once; if the eigenbasis is ill conditioned, falls
-    back to an LU solve of the Kronecker form per order k.
+    The first offender in row-major order of (i, j) is reported.  The
+    differences are formed RESONANCE_CHUNK at a time, whole rows each, so no
+    len(vals) x len(vals) array is built.
     """
-
-    def __init__(self, Lambda):
-        self.Lambda = Lambda
-        self.n = Lambda.shape[0]
-        vals, vecs = np.linalg.eig(Lambda)
-        cond = np.linalg.cond(vecs)
-        self.diag_ok = np.isfinite(cond) and cond < EIG_COND_LIMIT
-        self.eigdiff = vals[:, None] - vals[None, :]
-        if self.diag_ok:
-            self.V = vecs
-            self.Vinv = np.linalg.inv(vecs)
-
-    def check_resonances(self, max_order):
-        """Error out if some k in 1..max_order is within the resonance
-        threshold of an eigenvalue difference of ad Lambda."""
-        diffs = self.eigdiff.ravel()
+    rows = max(1, RESONANCE_CHUNK // max(1, len(vals)))
+    for start in range(0, len(vals), rows):
+        diffs = (vals[start:start + rows, None] - vals[None, :]).ravel()
         ks = np.rint(diffs.real)   # half to even, as round() does
         hits = np.flatnonzero((1 <= ks) & (ks <= max_order)
                               & (np.abs(ks - diffs) < RESONANCE_THRESHOLD))
@@ -95,84 +90,143 @@ class _Sylvester:
             raise ResonanceError(int(ks[hits[0]]),
                                  f"eigenvalue difference {d:.3e}")
 
-    def solve(self, k, R):
-        if self.diag_ok:
-            Rt = self.Vinv @ R @ self.V
-            Xt = Rt / (k - self.eigdiff)
-            return self.V @ Xt @ self.Vinv
-        n = self.n
-        eye = np.eye(n)
-        op = k * np.eye(n * n) - (np.kron(self.Lambda, eye) - np.kron(eye, self.Lambda.T))
-        return np.linalg.solve(op, R.reshape(-1)).reshape(n, n)
 
+class _Sylvester:
+    """The Sylvester recursions of both Frobenius series on the blocks of
+    one size, stacked.
 
-def _series_sum_at_half(Lambda, b_coeff, tol, max_order):
-    """Sum H(1/2) for H' = [Lambda/w, H] + B(w) H, H(0) = 1, B(w) = sum B_m w^m.
+    Entries [:nb] of every stack expand at w = 0 (Lambda = A_0), entries
+    [nb:] at w = 1 (Lambda = A_1).  Each H solves
 
-    Returns (value, order_used, tail_estimate).  The recursion is
+        H' = [Lambda/w, H] + B(w) H,   H(0) = 1,   B(w) = sum_t C_t (r_t w)^m,
 
-        (k+1) H_{k+1} - ad(Lambda) H_{k+1} = sum_{m=0}^{k} B_m H_{k-m}.
-
-    Contributions ||H_k|| 2^{-k} decay geometrically (singularities sit at
-    distance 1); the tail bound extrapolates the last contribution with
-    ratio 3/4.
+    with (C, r) = (A_{-1}, -1), (-A_1, 1) at 0 and (-A_{-1}/2, 1/2),
+    (-A_0, 1) at 1, so the order-k right-hand side sum_m B_m H_{k-m} is
+    sum_t C_t W_t with the running sums W_t <- H_k + r_t W_t.  H is kept in
+    the eigenbasis of Lambda, where (k - ad Lambda) H = R is a division;
+    a block whose eigenbasis is ill conditioned keeps the standard basis and
+    solves the Kronecker form instead.
     """
-    n = Lambda.shape[0]
-    syl = _Sylvester(Lambda)
-    syl.check_resonances(max_order)
-    H = [np.eye(n, dtype=complex)]
-    total = np.eye(n, dtype=complex)
-    w = 0.5
-    scale = max(1.0, float(np.linalg.norm(Lambda)))
-    below = 0
-    for k in range(max_order):
-        rhs = np.zeros((n, n), dtype=complex)
-        for m in range(k + 1):
-            rhs += b_coeff(m) @ H[k - m]
-        Hk1 = syl.solve(k + 1, rhs)
-        H.append(Hk1)
-        contrib = Hk1 * w ** (k + 1)
-        total += contrib
-        c = float(np.linalg.norm(contrib))
-        if c < tol / 10:
-            below += 1
-            if below >= 3:
-                tail = 3.0 * c
-                return total, k + 1, tail
-        else:
-            below = 0
-    tail = 3.0 * float(np.linalg.norm(H[-1])) * w ** max_order
-    raise TruncationError(tail, max_order)
 
+    def __init__(self, am1, a0, a1):
+        self.nb, b, _ = a0.shape
+        self.lam = np.concatenate([a0, a1])
+        vals, vecs = np.linalg.eig(self.lam)
+        cond = np.linalg.cond(vecs)
+        ok = np.isfinite(cond) & (cond < EIG_COND_LIMIT)
+        self.vals = vals
+        self.fallback = np.flatnonzero(~ok)
+        self.V = np.where(ok[:, None, None], vecs, np.eye(b))
+        self.Vinv = np.linalg.inv(self.V)
+        self.eigdiff = np.where(ok[:, None, None],
+                                vals[:, :, None] - vals[:, None, :], 0)
+        coeffs = (np.concatenate([am1, -am1 / 2]), np.concatenate([-a1, -a0]))
+        self.C = [self.Vinv @ c @ self.V for c in coeffs]
+        ratio = np.repeat([-1.0, 0.5], self.nb)[:, None, None]
+        self.r = (ratio, np.ones_like(ratio))
+        lf = self.lam[self.fallback]
+        eye = np.eye(b)
+        # ad Lambda on row-major vec(X): kron(L, 1) - kron(1, L^T)
+        self.ad = (np.einsum("nij,kl->nikjl", lf, eye)
+                   - np.einsum("ij,nlk->nikjl", eye, lf)).reshape(-1, b * b,
+                                                                   b * b)
+        self.H = np.tile(np.eye(b, dtype=complex), (2 * self.nb, 1, 1))
+        self.W = [self.H.copy(), self.H.copy()]
+        self.total = self.H.copy()
 
-def _matrix_power_half(A):
-    """(1/2)^A = exp(A log(1/2)) with the principal branch."""
-    return expm(np.log(0.5) * A)
+    def step(self, k, series, scale):
+        """H_{k+1} from H_k for the entries of the given series (0, 1 or
+        both, as a tuple), adding scale H_{k+1} to their sums; returns the
+        squared Frobenius norm of H_{k+1} of each of those entries."""
+        sl = slice(series[0] * self.nb, (series[-1] + 1) * self.nb)
+        H, W, C, r = self.H[sl], [w[sl] for w in self.W], self.C, self.r
+        if k:
+            for t in (0, 1):
+                W[t][...] = H + r[t][sl] * W[t]
+        rhs = C[0][sl] @ W[0] + C[1][sl] @ W[1]
+        H[...] = rhs / (k + 1 - self.eigdiff[sl])
+        if self.fallback.size:
+            mine = (self.fallback >= sl.start) & (self.fallback < sl.stop)
+            fb = self.fallback[mine]
+            n, bb = fb.size, self.ad.shape[1]
+            op = (k + 1) * np.eye(bb) - self.ad[mine]
+            self.H[fb] = np.linalg.solve(
+                op, rhs[fb - sl.start].reshape(n, bb, 1)
+            ).reshape(n, *H.shape[1:])
+        self.total[sl] += scale * H
+        return np.sum(np.abs(self.V[sl] @ H @ self.Vinv[sl]) ** 2,
+                      axis=(1, 2))
+
+    def monodromy(self):
+        """Blocks of Psi = G_1(1/2)^{-1} G_0(1/2), G = H(1/2) (1/2)^Lambda."""
+        G = (self.V @ self.total @ self.Vinv) @ expm(np.log(0.5) * self.lam)
+        return np.linalg.solve(G[self.nb:], G[:self.nb])
 
 
 def frobenius_monodromy(prob):
-    """Normalized monodromy Psi = G_1(1/2)^{-1} G_0(1/2) of the problem."""
-    Am1, A0, A1 = (np.asarray(prob.A_minus1, dtype=complex),
-                   np.asarray(prob.A_0, dtype=complex),
-                   np.asarray(prob.A_1, dtype=complex))
+    """Normalized monodromy Psi = G_1(1/2)^{-1} G_0(1/2) of the problem.
 
-    # H_0: B(w) = A_{-1}/(w+1) + A_1/(w-1) => B_m = (-1)^m A_{-1} - A_1
-    def b0(m):
-        return ((-1) ** m) * Am1 - A1
+    The problem splits into the connected components of the joint sparsity
+    pattern of A_{-1}, A_0, A_1; the components of one size run as one stack,
+    and both series run in lockstep over the orders.  Each series stops once
+    the Frobenius norm of its whole order-k contribution ||H_k|| 2^{-k} has
+    stayed below tol/10 for three orders (the singularities sit at distance
+    1, so contributions decay geometrically); the tail bound extrapolates the
+    last contribution with ratio 3/4.  Errors keep the order of a series at
+    0 run to the end before the series at 1: a resonance at 0, then its
+    truncation, then a resonance at 1, then its truncation.  Psi is returned
+    as a CSR matrix.
+    """
+    mats = (prob.A_minus1, prob.A_0, prob.A_1)
+    blocks = Blocks(*mats)
+    stacks = [_Sylvester(*split)
+              for split in zip(*(blocks.split(m) for m in mats))]
+    first = np.concatenate([np.repeat(idx[:, 0], idx.shape[1])
+                            for idx in blocks.index])
+    pos = np.concatenate([np.tile(np.arange(idx.shape[1]), idx.shape[0])
+                          for idx in blocks.index])
+    spectrum = np.lexsort((pos, first))   # components by least index
+    pending = None     # a resonance at 1 waits until the series at 0 ran
+    for s in (0, 1):
+        vals = np.concatenate([st.vals[s * st.nb:(s + 1) * st.nb].ravel()
+                               for st in stacks])
+        try:
+            check_resonances(vals[spectrum], prob.max_order)
+        except ResonanceError as exc:
+            if s == 0:
+                raise
+            pending = exc
 
-    # H_1: with u = 1 - w, B(u) = -A_{-1}/(2-u) - A_0/(1-u)
-    #      => B_m = -A_{-1} 2^{-(m+1)} - A_0
-    def b1(m):
-        return -Am1 * (0.5 ** (m + 1)) - A0
-
-    H0_half, k0, tail0 = _series_sum_at_half(A0, b0, prob.tol, prob.max_order)
-    H1_half, k1, tail1 = _series_sum_at_half(A1, b1, prob.tol, prob.max_order)
-
-    G0 = H0_half @ _matrix_power_half(A0)
-    G1 = H1_half @ _matrix_power_half(A1)
-    psi = np.linalg.solve(G1, G0)
-    return AssociatorResult(psi=psi, order_used=max(k0, k1),
-                            tail_estimate=max(tail0, tail1))
+    active = (0,) if pending else (0, 1)
+    sq = {s: float(blocks.n) for s in active}        # ||H_0||^2
+    below = {s: 0 for s in active}
+    done = {}                                        # s -> (order, tail)
+    for k in range(prob.max_order):
+        scale = 0.5 ** (k + 1)
+        sq = dict.fromkeys(active, 0.0)
+        for st in stacks:
+            norms = st.step(k, active, scale)
+            for i, s in enumerate(active):
+                sq[s] += float(norms[i * st.nb:(i + 1) * st.nb].sum())
+        for s in active:
+            c = np.sqrt(sq[s]) * scale
+            if c < prob.tol / 10:
+                below[s] += 1
+                if below[s] >= 3:
+                    done[s] = (k + 1, 3.0 * c)
+            else:
+                below[s] = 0
+        active = tuple(s for s in active if s not in done)
+        if not active:
+            break
+    if active:
+        tail = 3.0 * np.sqrt(sq[active[0]]) * 0.5 ** prob.max_order
+        raise TruncationError(tail, prob.max_order)
+    if pending:
+        raise pending
+    psi = blocks.join([st.monodromy() for st in stacks])
+    return AssociatorResult(psi=psi, order_used=max(done[0][0], done[1][0]),
+                            tail_estimate=max(done[0][1], done[1][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +273,7 @@ def phi_kz(pr, reps, h, tol=1e-12, max_order=200):
     t12 = build_leg_tensor(pr, "t_u", reps, (0, 1))
     t23 = build_leg_tensor(pr, "t_u", reps, (1, 2))
     prob = KZProblem(
-        A_minus1=np.zeros_like(t12),
+        A_minus1=sparse.csr_array(t12.shape, dtype=complex),
         A_0=hb * t12,
         A_1=hb * t23,
         tol=tol, max_order=max_order,
@@ -232,7 +286,7 @@ def r_kz(pr, reps, h):
     if len(reps) != 2:
         raise ParameterError("r_kz needs exactly two representations")
     tu = build_leg_tensor(pr, "t_u", reps, (0, 1))
-    return expm(-h * tu)
+    return expm(-h * tu.toarray())
 
 
 def central_scalar_matrix(pr, rep, zeta):
@@ -265,9 +319,9 @@ def ribbon_kz(pr, reps, s, mu=0.0, h=0.05, central_g=1.0, variant="sigma"):
     if len(reps) != 2:
         raise ParameterError("ribbon_kz needs exactly two representations")
     x = complex(s) + complex(mu)
-    tk01 = build_leg_tensor(pr, "t_k", reps, (0, 1))
-    ck1 = build_leg_tensor(pr, "casimir_k", reps, (1,))
-    z1 = build_leg_tensor(pr, "Z", reps, (1,))
+    tk01, ck1, z1 = (build_leg_tensor(pr, sym, reps, legs).toarray()
+                     for sym, legs in (("t_k", (0, 1)), ("casimir_k", (1,)),
+                                       ("Z", (1,))))
     expo = -h * (2 * tk01 + ck1)
     if variant == "sigma":
         expo = expo - 1j * np.pi * x * z1
@@ -296,7 +350,7 @@ def first_order_oracle(pr, reps, s):
     tm = build_leg_tensor(pr, "t_mminus", reps, (1, 2))
     c_plus = EULER_GAMMA + complex(digamma(z1))
     c_minus = EULER_GAMMA + complex(digamma(z2))
-    return (np.log(2.0) * tu + c_plus * tp + c_minus * tm) / (np.pi * 1j)
+    return (np.log(2.0) * tu + c_plus * tp + c_minus * tm).toarray() / (np.pi * 1j)
 
 
 def first_order_oracle_s_derivative(pr, reps, s):
@@ -312,7 +366,7 @@ def first_order_oracle_s_derivative(pr, reps, s):
     tri = lambda z: complex(mpmath.polygamma(1, mpmath.mpc(z)))
     coeff_m = (tri(0.5 + 0.5j * s) - tri(0.5 - 0.5j * s)) / (4 * np.pi)
     sech2 = 1.0 / np.cosh(np.pi * s / 2) ** 2
-    return coeff_m * (tp + tm) - (np.pi / 4) * sech2 * (tp - tm)
+    return (coeff_m * (tp + tm) - (np.pi / 4) * sech2 * (tp - tm)).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +403,14 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     kw = dict(h=h, tol=tol, max_order=max_order)
 
     # --- mixed pentagon on legs (0,1,2,3)
-    psi_012 = psi_kz(pr, (rep0, f, f), s, mu, **kw)
-    phi = phi_kz(pr, (f, f, f), h, tol=tol, max_order=max_order)
+    psi_012 = psi_kz(pr, (rep0, f, f), s, mu, **kw).toarray()
+    phi = phi_kz(pr, (f, f, f), h, tol=tol, max_order=max_order).toarray()
     dims4 = (rep0.dim, f.dim, f.dim, f.dim)
     d4 = int(np.prod(dims4))
 
-    psi_0_12_3 = psi_kz(pr, (rep0, ff, f), s, mu, **kw)          # on V,(WW),W
-    psi_0_1_23 = psi_kz(pr, (rep0, f, ff), s, mu, **kw)
-    psi_01_2_3 = psi_kz(pr, (tf, f, f), s, mu, **kw)
+    psi_0_12_3 = psi_kz(pr, (rep0, ff, f), s, mu, **kw).toarray()  # V,(WW),W
+    psi_0_1_23 = psi_kz(pr, (rep0, f, ff), s, mu, **kw).toarray()
+    psi_01_2_3 = psi_kz(pr, (tf, f, f), s, mu, **kw).toarray()
     psi_012_I = np.kron(psi_012, np.eye(f.dim))
     phi_123 = np.kron(np.eye(rep0.dim), phi)
     lhs = phi_123 @ psi_0_12_3 @ psi_012_I
@@ -395,9 +449,8 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
 
     # --- hexagons for (Phi_KZ, R_KZ) on W^3
     dimsW = (f.dim, f.dim, f.dim)
-    tu13 = build_leg_tensor(pr, "t_u", (f, f, f), (0, 2))
-    tu23 = build_leg_tensor(pr, "t_u", (f, f, f), (1, 2))
-    tu12 = build_leg_tensor(pr, "t_u", (f, f, f), (0, 1))
+    tu13, tu23, tu12 = (build_leg_tensor(pr, "t_u", (f, f, f), legs).toarray()
+                        for legs in ((0, 2), (1, 2), (0, 1)))
     Rd13 = expm(-h * tu13)
     lhs_h1 = expm(-h * (tu13 + tu23))           # (Delta (x) id)(R)
     R23 = np.kron(np.eye(f.dim), R)

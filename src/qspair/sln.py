@@ -11,11 +11,14 @@ X_alpha = e_{ab} for alpha = L_a - L_b with a < b, so [X_alpha, X_alpha^*]
 equals H_alpha on the nose and no structure-constant phases appear.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
+from .blocks import entries
 from .errors import DomainError, ParameterError, ShapeError
 from . import satake as satake_mod
 
@@ -77,14 +80,6 @@ def place_on_legs(ops, dims):
             m = np.eye(d)
         out = m if out is None else np.kron(out, m)
     return out
-
-
-def place_pair_tensor(pairs, rep_i, rep_j, dims, i, j):
-    """sum_a rho_i(A_a) on leg i times rho_j(B_a) on leg j."""
-    total = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    for A, B in pairs:
-        total += place_on_legs({i: rep_i.rho(A), j: rep_j.rho(B)}, dims)
-    return total
 
 
 def permute_legs(mat, dims, perm):
@@ -221,11 +216,46 @@ _SYMBOL_ARITY = {
 }
 
 
+def _leg_offsets(dims, legs):
+    """Flat index in prod dims of each basis vector of the given legs
+    (row-major over the legs in the order given), the other legs at 0."""
+    off = np.zeros(1, dtype=np.intp)
+    for leg in legs:
+        stride = math.prod(dims[leg + 1:])
+        off = (off[:, None] + stride * np.arange(dims[leg])).ravel()
+    return off
+
+
+def embed_on_legs(T, dims, legs):
+    """T, dense or sparse, acting on the given legs (in that order) of
+    prod dims and as the identity on the other legs, as a CSR matrix.
+
+    Row i of the result is row a of T on the legs and the identity on the
+    rest, so the CSR arrays are gathered from T's entries directly.
+    """
+    local = _leg_offsets(dims, legs)
+    rest = _leg_offsets(dims, [k for k in range(len(dims)) if k not in legs])
+    r, c, v = entries(T)
+    counts = np.bincount(r, minlength=len(local))
+    starts = np.cumsum(counts) - counts
+    total = math.prod(dims)
+    flat = np.empty(total, dtype=np.intp)     # row i -> a * len(rest) + z
+    flat[(local[:, None] + rest).ravel()] = np.arange(total)
+    a, z = np.divmod(flat, len(rest))
+    per_row = counts[a]
+    indptr = np.concatenate([[0], np.cumsum(per_row)])
+    pos = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - starts[a], per_row)
+    indices = local[c[pos]] + np.repeat(rest[z], per_row)
+    return sparse.csr_array((v[pos], indices, indptr), shape=(total, total))
+
+
 def build_leg_tensor(pr, symbol, reps, legs):
     """Materialize a named element on the given legs of prod_i V_{reps[i]}.
 
-    Two-leg symbols are placed as sum_a rho_i(A_a) rho_j(B_a); one-leg
-    symbols as the corresponding matrix on a single leg, identity elsewhere.
+    Two-leg symbols are sum_a rho_i(A_a) (x) rho_j(B_a) on legs (i, j),
+    one-leg symbols the corresponding matrix on one leg; the factor is built
+    on its own legs and embedded with the identity elsewhere, as a CSR
+    matrix.
     """
     if symbol not in _SYMBOL_ARITY:
         raise ParameterError(f"unknown symbol {symbol!r}")
@@ -244,15 +274,14 @@ def build_leg_tensor(pr, symbol, reps, legs):
             "t_u": pr.t_u, "t_k": pr.t_k,
             "t_mplus": pr.t_mplus, "t_mminus": pr.t_mminus, "r": pr.r,
         }[symbol]
-        return place_pair_tensor(pairs, reps[i], reps[j], dims, i, j)
-    (i,) = legs
-    if symbol == "Z":
-        m = reps[i].rho(pr.Znu)
-    elif symbol == "casimir_k":
-        m = casimir_matrix(pr, reps[i], "k")
+        factor = sum(np.kron(reps[i].rho(A), reps[j].rho(B))
+                     for A, B in pairs)
+    elif symbol == "Z":
+        factor = reps[legs[0]].rho(pr.Znu)
     else:
-        m = casimir_matrix(pr, reps[i], "u")
-    return place_on_legs({i: m}, dims)
+        which = "k" if symbol == "casimir_k" else "u"
+        factor = casimir_matrix(pr, reps[legs[0]], which)
+    return embed_on_legs(factor, dims, legs)
 
 
 # ---------------------------------------------------------------------------

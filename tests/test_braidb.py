@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from qspair import blocks, braidb
 from qspair.errors import ComparisonError, ParameterError, ShapeError
 from qspair.braidb import (
     DEFAULT_WORDS,
@@ -11,7 +13,8 @@ from qspair.braidb import (
     relation_residuals,
     word_matrix,
 )
-from qspair.uqsl import make_params
+from qspair.sln import flip_matrix
+from qspair.uqsl import make_params, solve_kmatrix
 
 
 def identity_family(dims):
@@ -151,9 +154,9 @@ def test_trace_conjugation_invariance():
     Ti = np.linalg.inv(T)
     conj = lambda M: T @ M @ Ti
     for word in DEFAULT_WORDS:
-        base = np.trace(word_matrix(rep, word))
-        rep2_rho = conj(rep.rho1)
-        rep2_sig = [conj(s) for s in rep.sigma]
+        base = np.trace(word_matrix(rep, word).toarray())
+        rep2_rho = conj(rep.rho1.toarray())
+        rep2_sig = [conj(s.toarray()) for s in rep.sigma]
         total = np.eye(rep.dim, dtype=complex)
         for tok in word:
             total = total @ (rep2_rho if tok == "rho1" else rep2_sig[0])
@@ -170,3 +173,83 @@ def test_residuals_scale_with_tolerance():
     assert tight < 1e-8
     assert loose < 1e-4
     assert tight <= loose + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the dense assembly, kept as the oracle of the sparse blockwise one
+
+def _dense(m):
+    return m.toarray() if sparse.issparse(m) else np.asarray(m)
+
+
+def _dense_build_rep(E, R, psi_family, n, dims):
+    """(rho1, sigma) of the fixed parenthesization, all dense."""
+    dv, dw = dims
+    sR = flip_matrix(dw) @ R
+    psi = psi_family("0,1,2")
+    sigma1_small = np.linalg.solve(psi, np.kron(np.eye(dv), sR)) @ psi
+    rho1 = np.kron(E, np.eye(dw ** (n - 1)))
+    if n == 2:
+        return rho1, [sigma1_small]
+    psi_01 = psi_family("01,2,3")
+    sigma2 = np.linalg.solve(psi_01, np.kron(np.eye(dv * dw), sR)) @ psi_01
+    return rho1, [np.kron(sigma1_small, np.eye(dw)), sigma2]
+
+
+def _dense_relation_residuals(rho1, sig):
+    out = {}
+
+    def rel(name, A, B):
+        scale = max(np.linalg.norm(A), np.linalg.norm(B), 1e-300)
+        out[name] = float(np.linalg.norm(A - B) / scale)
+
+    for i in range(len(sig)):
+        for j in range(i + 2, len(sig)):
+            rel(f"sigma_comm_{i + 1}_{j + 1}", sig[i] @ sig[j], sig[j] @ sig[i])
+        if i + 1 < len(sig):
+            rel(f"braid_{i + 1}_{i + 2}",
+                sig[i] @ sig[i + 1] @ sig[i],
+                sig[i + 1] @ sig[i] @ sig[i + 1])
+        if i >= 1:
+            rel(f"rho_sigma_comm_{i + 1}", rho1 @ sig[i], sig[i] @ rho1)
+    rel("type_b", rho1 @ sig[0] @ rho1 @ sig[0], sig[0] @ rho1 @ sig[0] @ rho1)
+    return out
+
+
+def _side_rep(side, N, n):
+    """A representation of one side and the arguments its build_rep got."""
+    p, h = N // 2, 0.05
+    t = make_params(N, p)
+    if side == "q":
+        return lambda: q_side_rep(N, p, t, h, n)[0]
+    kr = solve_kmatrix(N, p, t, float(np.exp(h)))
+    s = kr.inferred_s
+    return lambda: kz_side_rep(N, p, s, complex(kr.inferred_s_plus_mu) - s,
+                               kr.fitted_g, h, n)
+
+
+@pytest.mark.parametrize("side", ["q", "kz"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sparse_assembly_matches_dense(monkeypatch, side, N, n):
+    seen = {}
+    build = braidb.build_rep
+
+    def spy(E, R, psi_family, n, dims):
+        seen.update(E=E, R=R, fam=psi_family, dims=dims)
+        return build(E, R, psi_family, n, dims)
+
+    monkeypatch.setattr(braidb, "build_rep", spy)
+    rep = _side_rep(side, N, n)()
+    rho1, sig = _dense_build_rep(_dense(seen["E"]), _dense(seen["R"]),
+                                 lambda g: _dense(seen["fam"](g)), n,
+                                 seen["dims"])
+    for got, want in zip([rep.rho1] + rep.sigma, [rho1] + sig):
+        assert sparse.issparse(got)
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-13
+        assert blocks.cond(got) == pytest.approx(np.linalg.cond(want),
+                                                 rel=1e-8)
+    want_res = _dense_relation_residuals(rho1, sig)
+    assert rep.residuals.keys() == want_res.keys()
+    for key, val in want_res.items():
+        assert abs(rep.residuals[key] - val) <= 1e-14, key

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from qspair.errors import ParameterError, ResonanceError, TruncationError
 from qspair.kzmono import (
+    EIG_COND_LIMIT,
+    RESONANCE_CHUNK,
     RESONANCE_THRESHOLD,
     KZProblem,
-    _Sylvester,
     central_scalar_matrix,
+    check_resonances,
     first_order_oracle,
     first_order_oracle_s_derivative,
     frobenius_monodromy,
@@ -17,7 +20,13 @@ from qspair.kzmono import (
     r_kz,
     ribbon_kz,
 )
-from qspair.sln import fundamental_rep, realize, trivial_rep
+from qspair.sln import (
+    build_leg_tensor,
+    fundamental_rep,
+    realize,
+    tensor_rep,
+    trivial_rep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +35,146 @@ def pr2():
 
 
 F2 = fundamental_rep(2)
+
+
+# ---------------------------------------------------------------------------
+# the dense engine, kept as the oracle of the blocked one: the whole D x D
+# problem, one Sylvester solver per series and the O(K^2) convolution
+
+class _DenseSylvester:
+    """Solver for (k - ad Lambda) X = R, k = 1, 2, ...
+
+    Diagonalizes Lambda once; if the eigenbasis is ill conditioned, falls
+    back to an LU solve of the Kronecker form per order k.
+    """
+
+    def __init__(self, Lambda):
+        self.Lambda = Lambda
+        self.n = Lambda.shape[0]
+        vals, vecs = np.linalg.eig(Lambda)
+        cond = np.linalg.cond(vecs)
+        self.diag_ok = np.isfinite(cond) and cond < EIG_COND_LIMIT
+        self.eigdiff = vals[:, None] - vals[None, :]
+        if self.diag_ok:
+            self.V = vecs
+            self.Vinv = np.linalg.inv(vecs)
+
+    def solve(self, k, R):
+        if self.diag_ok:
+            Rt = self.Vinv @ R @ self.V
+            Xt = Rt / (k - self.eigdiff)
+            return self.V @ Xt @ self.Vinv
+        n = self.n
+        eye = np.eye(n)
+        op = k * np.eye(n * n) - (np.kron(self.Lambda, eye)
+                                  - np.kron(eye, self.Lambda.T))
+        return np.linalg.solve(op, R.reshape(-1)).reshape(n, n)
+
+
+def _dense_series_sum_at_half(Lambda, b_coeff, tol, max_order):
+    n = Lambda.shape[0]
+    syl = _DenseSylvester(Lambda)
+    H = [np.eye(n, dtype=complex)]
+    total = np.eye(n, dtype=complex)
+    w = 0.5
+    below = 0
+    for k in range(max_order):
+        rhs = np.zeros((n, n), dtype=complex)
+        for m in range(k + 1):
+            rhs += b_coeff(m) @ H[k - m]
+        Hk1 = syl.solve(k + 1, rhs)
+        H.append(Hk1)
+        contrib = Hk1 * w ** (k + 1)
+        total += contrib
+        c = float(np.linalg.norm(contrib))
+        if c < tol / 10:
+            below += 1
+            if below >= 3:
+                return total, k + 1
+        else:
+            below = 0
+    raise AssertionError("dense series did not converge")
+
+
+def _dense_monodromy(prob):
+    """(Psi, order_used) of the problem, all of it as dense arrays."""
+    Am1, A0, A1 = (np.asarray(sparse.csr_array(m).toarray(), dtype=complex)
+                   for m in (prob.A_minus1, prob.A_0, prob.A_1))
+
+    def b0(m):
+        return ((-1) ** m) * Am1 - A1
+
+    def b1(m):
+        return -Am1 * (0.5 ** (m + 1)) - A0
+
+    H0, k0 = _dense_series_sum_at_half(A0, b0, prob.tol, prob.max_order)
+    H1, k1 = _dense_series_sum_at_half(A1, b1, prob.tol, prob.max_order)
+    G0 = H0 @ expm(np.log(0.5) * A0)
+    G1 = H1 @ expm(np.log(0.5) * A1)
+    return np.linalg.solve(G1, G0), max(k0, k1)
+
+
+def _assert_matches_dense(prob):
+    res = frobenius_monodromy(prob)
+    psi, order = _dense_monodromy(prob)
+    err = np.linalg.norm(res.psi.toarray() - psi) / np.linalg.norm(psi)
+    assert err <= 1e-13
+    assert res.order_used == order
+
+
+def _random_block(rng, b, scale):
+    return scale * (rng.standard_normal((b, b))
+                    + 1j * rng.standard_normal((b, b)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_engine_matches_dense_one_block(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    prob = KZProblem(*(_random_block(rng, d, 0.15) for _ in range(3)))
+    _assert_matches_dense(prob)
+
+
+def test_blocked_engine_matches_dense_permuted_blocks():
+    # blocks of sizes 1, 2, 2, 3, 3 and 4 under a random permutation: five
+    # size classes, two of them with two blocks
+    rng = np.random.default_rng(5)
+    sizes = (3, 1, 2, 4, 2, 3)
+    n = sum(sizes)
+    mats = [np.zeros((n, n), dtype=complex) for _ in range(3)]
+    start = 0
+    for b in sizes:
+        for m in mats:
+            m[start:start + b, start:start + b] = _random_block(rng, b, 0.15)
+        start += b
+    perm = rng.permutation(n)
+    prob = KZProblem(*(m[perm][:, perm] for m in mats))
+    _assert_matches_dense(prob)
+
+
+def _psi_problem(pr, reps, s, h):
+    """The KZProblem psi_kz solves, built as psi_kz builds it."""
+    import qspair.kzmono as kz
+    hb = kz._hbar(h)
+    leg = lambda sym, legs: build_leg_tensor(pr, sym, reps, legs)
+    return KZProblem(
+        A_minus1=hb * (leg("t_k", (1, 2))
+                       - (leg("t_mplus", (1, 2)) + leg("t_mminus", (1, 2)))),
+        A_0=hb * (2 * leg("t_k", (0, 1)) + leg("casimir_k", (1,)))
+        + s * leg("Z", (1,)),
+        A_1=hb * leg("t_u", (1, 2)))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("merged", [False, True])
+def test_blocked_engine_matches_dense_psi_kz(N, merged):
+    pr = realize(N, N // 2)
+    f = fundamental_rep(N)
+    reps = (tensor_rep(f, f) if merged else f, f, f)
+    prob = _psi_problem(pr, reps, 0.3, 0.05)
+    _assert_matches_dense(prob)
+    psi = psi_kz(pr, reps, 0.3, 0.0, 0.05)
+    assert (psi != frobenius_monodromy(prob).psi).nnz == 0
 
 
 # ---------------------------------------------------------------------------
@@ -61,28 +210,57 @@ def test_resonance_error_names_k():
     with pytest.raises(ResonanceError) as exc:
         frobenius_monodromy(KZProblem(z, A0, z))
     assert exc.value.k == 1
+    # the same resonance in the series at 1 is reported after the series
+    # at 0 has converged
+    with pytest.raises(ResonanceError) as exc:
+        frobenius_monodromy(KZProblem(z, z, A0))
+    assert exc.value.k == 1
 
 
 def test_resonance_error_names_first_offender():
     # eigenvalue differences 3 at (1, 0), 1 at (2, 0) and 2 at (1, 2): the
     # first resonance in row-major order of the differences is reported
-    syl = _Sylvester(np.diag([0.0, 3.0, 1.0]).astype(complex))
+    vals = np.array([0.0, 3.0, 1.0], dtype=complex)
     with pytest.raises(ResonanceError) as exc:
-        syl.check_resonances(10)
+        check_resonances(vals, 10)
     assert exc.value.k == 3
     with pytest.raises(ResonanceError) as exc:
-        syl.check_resonances(2)
+        check_resonances(vals, 2)
     assert exc.value.k == 2
-    syl.check_resonances(0)
+    check_resonances(vals, 0)
 
 
-def _resonance_by_loop(eigdiff, max_order):
+def test_resonance_between_uncoupled_blocks():
+    # two coupled 2 x 2 blocks, each free of resonances, whose spectra
+    # differ by 2: the global check still finds k = 2
+    rng = np.random.default_rng(2)
+    A0 = np.zeros((4, 4), dtype=complex)
+    for start, vals in ((0, (0.1, 0.4)), (2, (2.1, 2.35))):
+        T = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+        A0[start:start + 2, start:start + 2] = T @ np.diag(vals) @ np.linalg.inv(T)
+    perm = rng.permutation(4)
+    A0 = A0[perm][:, perm]
+    z = np.zeros((4, 4))
+    with pytest.raises(ResonanceError) as exc:
+        frobenius_monodromy(KZProblem(z, A0, z))
+    assert exc.value.k == 2
+
+
+def _resonance_by_loop(vals, max_order):
     """Reference: the scalar loop over the differences, row-major; the
     message of the error it would raise, or None."""
-    for d in eigdiff.ravel():
+    for d in (vals[:, None] - vals[None, :]).ravel():
         k = int(round(d.real))
         if 1 <= k <= max_order and abs(k - d) < RESONANCE_THRESHOLD:
             return str(ResonanceError(k, f"eigenvalue difference {d:.3e}"))
+    return None
+
+
+def _check_message(vals, max_order):
+    try:
+        check_resonances(vals, max_order)
+    except ResonanceError as exc:
+        return str(exc)
     return None
 
 
@@ -94,17 +272,24 @@ def test_check_resonances_matches_scalar_loop():
         vals = (rng.integers(-3, 4, size=n)
                 + rng.choice([0, 0.5, 1e-9, 2e-8, 0.3], size=n)
                 + 1j * rng.choice([0, 1e-9, 0.1], size=n))
-        syl = _Sylvester(np.diag(vals))
         max_order = int(rng.integers(0, 5))
-        want = _resonance_by_loop(syl.eigdiff, max_order)
-        try:
-            syl.check_resonances(max_order)
-            got = None
-        except ResonanceError as exc:
-            got = str(exc)
-        assert got == want
+        want = _resonance_by_loop(vals, max_order)
+        assert _check_message(vals, max_order) == want
         hits += want is not None
     assert hits > 50
+
+
+def test_check_resonances_spans_chunks():
+    # a spectrum whose difference table spans several chunks, with one
+    # resonance planted past the first chunk, then none at all
+    n = 2 * int(np.sqrt(RESONANCE_CHUNK))
+    vals = np.arange(n) * 0.37 % 0.9 + 1j * np.arange(n)
+    assert _check_message(vals, 3) is None
+    row = RESONANCE_CHUNK // n + 10
+    vals[row] = vals[7] + 2 + 1e-10
+    want = _resonance_by_loop(vals, 3)
+    assert want is not None
+    assert _check_message(vals, 3) == want
 
 
 def test_truncation_error():
@@ -123,13 +308,27 @@ def test_series_assembly_against_ode_integrator():
     # independent cross-check of the two-disk matching: run an adaptive ODE
     # integrator from w = 1/2 (seeded by the left series) to w = 0.9 and
     # compare with the right series through G_0(w) = H_1(1-w) (1-w)^{A_1} Psi
-    from scipy.integrate import solve_ivp
-    from qspair.kzmono import _series_sum_at_half
     rng = np.random.default_rng(11)
-    d = 3
-    Am1 = 0.15 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    A0 = 0.2 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    A1 = 0.15 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    Am1, A0, A1 = (_random_block(rng, 3, scale) for scale in (0.15, 0.2, 0.15))
+    _check_against_ode(Am1, A0, A1)
+
+
+def test_sylvester_fallback_against_ode_integrator():
+    # A_0 is a Jordan block plus one more eigenvalue, coupled through
+    # A_{-1} into one block: its eigenbasis is degenerate, so the series at
+    # 0 takes the Kronecker-form fallback, while the series at 1 in the same
+    # stack stays in its eigenbasis
+    rng = np.random.default_rng(11)
+    Am1, _, A1 = (_random_block(rng, 3, 0.15) for _ in range(3))
+    A0 = np.array([[0.2, 1.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, -0.1]],
+                  dtype=complex)
+    assert not np.linalg.cond(np.linalg.eig(A0)[1]) < EIG_COND_LIMIT
+    _check_against_ode(Am1, A0, A1)
+
+
+def _check_against_ode(Am1, A0, A1):
+    from scipy.integrate import solve_ivp
+    d = A0.shape[0]
     prob = KZProblem(Am1, A0, A1, tol=1e-13)
     res = frobenius_monodromy(prob)
 
@@ -150,7 +349,7 @@ def test_series_assembly_against_ode_integrator():
         return -Am1 * (0.5 ** (m + 1)) - A0
     # evaluate H_1 at u = 0.1 by re-deriving its series sum at that point
     H1_u = _series_eval(A1, b1, u, 1e-13)
-    G0_09_series = H1_u @ expm(np.log(u) * A1) @ res.psi
+    G0_09_series = H1_u @ expm(np.log(u) * A1) @ res.psi.toarray()
     assert np.max(np.abs(G0_09_ivp - G0_09_series)) < 1e-9
 
 
@@ -163,9 +362,8 @@ def _g0_at(prob, w):
 
 def _series_eval(Lambda, b_coeff, w, tol, max_order=300):
     # plain recomputation of the series sum at an arbitrary |w| < 1
-    from qspair.kzmono import _Sylvester
     n = Lambda.shape[0]
-    syl = _Sylvester(Lambda)
+    syl = _DenseSylvester(Lambda)
     H = [np.eye(n, dtype=complex)]
     total = np.eye(n, dtype=complex)
     below = 0
@@ -190,11 +388,8 @@ def test_series_tail_below_tol(pr2):
     reps = (F2, F2, F2)
     import qspair.kzmono as kz
     hb = kz._hbar(0.05)
-    from qspair.sln import build_leg_tensor
     tu = build_leg_tensor(pr2, "t_u", reps, (1, 2))
-    res = frobenius_monodromy(
-        KZProblem(np.zeros_like(tu), np.zeros_like(tu), hb * tu, tol=1e-12)
-    )
+    res = frobenius_monodromy(KZProblem(0 * tu, 0 * tu, hb * tu, tol=1e-12))
     assert res.tail_estimate <= 1e-12
 
 
@@ -218,7 +413,7 @@ def test_parameter_shift_bit_identical(pr2):
     reps = (F2, F2, F2)
     a = psi_kz(pr2, reps, 0.3, 0.1, 0.05)
     b = psi_kz(pr2, reps, 0.4, 0.0, 0.05)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a.toarray(), b.toarray())
 
 
 def test_counit_normalization(pr2):
@@ -264,7 +459,6 @@ def test_first_order_oracle_convergence(pr2, s):
 
 def test_oracle_symmetric_at_s_zero(pr2):
     # at s = 0 the m+ and m- coefficients coincide
-    from qspair.sln import build_leg_tensor
     reps = (F2, F2, F2)
     oracle = first_order_oracle(pr2, reps, 0.0)
     tp = build_leg_tensor(pr2, "t_mplus", reps, (1, 2))
@@ -303,7 +497,7 @@ def test_phi_is_one_plus_h_squared(pr2):
 
 
 def test_phi_invertible(pr2):
-    phi = phi_kz(pr2, (F2, F2, F2), 0.05)
+    phi = phi_kz(pr2, (F2, F2, F2), 0.05).toarray()
     assert np.max(np.abs(phi @ np.linalg.inv(phi) - np.eye(8))) < 1e-12
 
 
@@ -370,17 +564,15 @@ def test_identity_residuals_n3():
 
 def test_pentagon_negative_control(pr2):
     # a wrong parameter on one side must blow up the pentagon residual
-    from qspair.kzmono import phi_kz as _phi
     f = F2
-    from qspair.sln import tensor_rep
     ff = tensor_rep(f, f)
     tf = tensor_rep(f, f)
     h = 0.05
-    psi_good = psi_kz(pr2, (f, f, f), 0.4, 0, h)
-    psi_bad_0_12_3 = psi_kz(pr2, (f, ff, f), 0.9, 0, h)   # wrong s
-    psi_0_1_23 = psi_kz(pr2, (f, f, ff), 0.4, 0, h)
-    psi_01_2_3 = psi_kz(pr2, (tf, f, f), 0.4, 0, h)
-    phi = _phi(pr2, (f, f, f), h)
+    psi_good = psi_kz(pr2, (f, f, f), 0.4, 0, h).toarray()
+    psi_bad_0_12_3 = psi_kz(pr2, (f, ff, f), 0.9, 0, h).toarray()   # wrong s
+    psi_0_1_23 = psi_kz(pr2, (f, f, ff), 0.4, 0, h).toarray()
+    psi_01_2_3 = psi_kz(pr2, (tf, f, f), 0.4, 0, h).toarray()
+    phi = phi_kz(pr2, (f, f, f), h).toarray()
     lhs = np.kron(np.eye(2), phi) @ psi_bad_0_12_3 @ np.kron(psi_good, np.eye(2))
     rhs = psi_0_1_23 @ psi_01_2_3
     assert np.linalg.norm(lhs - rhs) > 1e-4

@@ -265,7 +265,7 @@ def test_a_antidiag_square():
 def test_leg_tensor_tu_eigenvalues_sl2():
     pr = realize(2, 1)
     f = fundamental_rep(2)
-    lt = build_leg_tensor(pr, "t_u", (f, f), (0, 1))
+    lt = build_leg_tensor(pr, "t_u", (f, f), (0, 1)).toarray()
     eig = np.sort(np.linalg.eigvalsh((lt + lt.conj().T) / 2))
     assert np.allclose(eig, [-1.5, 0.5, 0.5, 0.5], atol=1e-12)
 
