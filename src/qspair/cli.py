@@ -260,6 +260,7 @@ def cmd_kmatrix(args):
         emit("kmatrix", vars(args), results, fmt="csv", csv_rows=rows,
              out=args.out)
     else:
+        results["diagnostics"] = kr.diagnostics
         emit("kmatrix", vars(args), results, residuals=kr.residuals,
              out=args.out)
     return 0

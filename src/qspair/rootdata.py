@@ -1,8 +1,9 @@
 """Root-system combinatorics with an exact rational bilinear form.
 
-Weights are tuples of Fractions.  For type A_{N-1} they are coordinate
-vectors in the L_i basis (L_i reads off the i-th diagonal entry), with the
-normalized invariant form (L_i, L_i) = 1 - 1/N, (L_i, L_j) = -1/N.  For a
+Weights are tuples of exact rationals (ints or Fractions).  For type A_{N-1}
+they are coordinate vectors in the L_i basis (L_i reads off the i-th diagonal
+entry), with the normalized invariant form (L_i, L_i) = 1 - 1/N,
+(L_i, L_j) = -1/N; the roots L_a - L_b carry int coordinates.  For a
 generic Cartan matrix, weights live in the simple-root basis and the form is
 (alpha_i, alpha_j) = d_i a_{ij}, normalized so short roots have square
 length 2.  Everything here is exact; floats never enter.
@@ -10,14 +11,10 @@ length 2.  Everything here is exact; floats never enter.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import ParameterError, ShapeError
-
-Weight = tuple  # tuple of Fractions
-
-
-def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -36,12 +33,17 @@ class RootSystem:
 
 
 def pairing(rs, lam, mu):
-    """Evaluate the invariant form (lam, mu); exact rational."""
+    """Evaluate the invariant form (lam, mu); always a Fraction.
+
+    On the L coordinates the form is sum lam_i mu_i - (sum lam)(sum mu)/N.
+    """
     n = rs.dim_ambient
     if len(lam) != n or len(mu) != n:
         raise ShapeError(
             f"weights must have {n} coordinates, got {len(lam)} and {len(mu)}"
         )
+    if rs.ambient == "L":
+        return sum(map(mul, lam, mu)) - Fraction(sum(lam) * sum(mu), n)
     mu_support = [(j, Fraction(b)) for j, b in enumerate(mu) if b]
     total = Fraction(0)
     for i, a in enumerate(lam):
@@ -57,7 +59,7 @@ def pairing(rs, lam, mu):
 def coroot(rs, alpha):
     """alpha^vee = 2 alpha / (alpha, alpha)."""
     norm2 = pairing(rs, alpha, alpha)
-    return tuple(2 * a / norm2 for a in _frac_vec(alpha))
+    return tuple(2 * a / norm2 for a in alpha)
 
 
 def _add(v, w):
@@ -77,23 +79,20 @@ def build_type_a(N):
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank))
         for i in range(rank)
     )
+    diag, off = Fraction(N - 1, N), Fraction(-1, N)
     form = tuple(
-        tuple(Fraction(1) - Fraction(1, N) if i == j else -Fraction(1, N)
-              for j in range(N))
-        for i in range(N)
+        tuple(diag if i == j else off for j in range(N)) for i in range(N)
     )
     simple = []
     for i in range(rank):
-        v = [Fraction(0)] * N
-        v[i] = Fraction(1)
-        v[i + 1] = Fraction(-1)
+        v = [0] * N
+        v[i], v[i + 1] = 1, -1
         simple.append(tuple(v))
     pos = []
     for i in range(N):
         for j in range(i + 1, N):
-            v = [Fraction(0)] * N
-            v[i] = Fraction(1)
-            v[j] = Fraction(-1)
+            v = [0] * N
+            v[i], v[j] = 1, -1
             pos.append(tuple(v))
     return RootSystem(
         rank=rank,
@@ -197,7 +196,7 @@ class RootOrder:
     extra_vectors: tuple = field(default=())
 
     def key(self, root):
-        support = [(i, Fraction(c)) for i, c in enumerate(root) if c]
+        support = [(i, c) for i, c in enumerate(root) if c]
         vecs = (self.first_vector,) + self.extra_vectors
         return tuple(sum(c * v[i] for i, c in support) for v in vecs)
 
@@ -215,12 +214,17 @@ class RootOrder:
 
 
 def standard_order_type_a(z_nu_diag):
-    """Order with -iZ_nu first, completed by the coordinate vectors e_1..e_{N-1}."""
-    z = _frac_vec(z_nu_diag)
+    """Order with -iZ_nu first, completed by the coordinate vectors e_1..e_{N-1}.
+
+    -iZ_nu enters scaled by the lcm of its denominators, so every key is an
+    int tuple; a positive scaling changes neither the order nor regularity.
+    """
+    m = lcm(*(x.denominator for x in z_nu_diag))
+    z = tuple(x.numerator * (m // x.denominator) for x in z_nu_diag)
     N = len(z)
     extras = []
     for j in range(N - 1):
-        v = [Fraction(0)] * N
-        v[j] = Fraction(1)
+        v = [0] * N
+        v[j] = 1
         extras.append(tuple(v))
     return RootOrder(first_vector=z, extra_vectors=tuple(extras))

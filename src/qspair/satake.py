@@ -31,8 +31,7 @@ class SatakeData:
 
     def is_compact(self, root):
         """A root is compact iff it vanishes on z(u^nu), i.e. on Z_nu."""
-        val = sum(Fraction(c) * z for c, z in zip(root, self.z_nu))
-        return val == 0
+        return sum(c * self.z_nu[i] for i, c in enumerate(root) if c) == 0
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,15 @@ class RootPartition:
 
 def _apply_matrix(mat, vec):
     support = [j for j, x in enumerate(vec) if x]
-    return tuple(sum((row[j] * vec[j] for j in support), Fraction(0))
-                 for row in mat)
+    return tuple(sum(row[j] * vec[j] for j in support) for row in mat)
 
 
 def _tau_matrix(N):
     # diagram flip i -> N-i on labels acts on weights by L_i -> -L_{N+1-i}
     mat = []
     for i in range(N):
-        row = [Fraction(0)] * N
-        row[N - 1 - i] = Fraction(-1)
+        row = [0] * N
+        row[N - 1 - i] = -1
         mat.append(tuple(row))
     return tuple(mat)
 
@@ -66,7 +64,7 @@ def _mat_mul(A, B):
     out = []
     for row in A:
         support = [k for k, x in enumerate(row) if x]
-        out.append(tuple(sum((row[k] * B[k][j] for k in support), Fraction(0))
+        out.append(tuple(sum(row[k] * B[k][j] for k in support)
                          for j in range(m)))
     return tuple(out)
 
@@ -78,7 +76,7 @@ def longest_element_wx(N, p):
     perm = list(range(N))
     perm[p:N - p] = reversed(perm[p:N - p])
     return tuple(
-        tuple(Fraction(1) if j == perm[i] else Fraction(0) for j in range(N))
+        tuple(1 if j == perm[i] else 0 for j in range(N))
         for i in range(N)
     )
 
@@ -126,7 +124,7 @@ def restricted_half_root(sd, i):
     """alpha_i^- = (alpha_i - Theta(alpha_i)) / 2."""
     a = sd.simple_root(i)
     ta = theta_weight(sd, a)
-    return tuple((x - y) / 2 for x, y in zip(a, ta))
+    return tuple(Fraction(x - y, 2) for x, y in zip(a, ta))
 
 
 def cascade(sd):
@@ -258,7 +256,7 @@ def normalization_constants(sd, dual_coxeter=None, length_ratio=1):
         acc = [Fraction(0)] * sd.N
         for g in sd.cascade:
             for idx, c in enumerate(g):
-                acc[idx] += c / 2
+                acc[idx] += Fraction(c, 2)
         out["Z_formula"] = tuple(acc)
         if tuple(acc) != sd.z_nu:
             raise StructuralError("S-type Z_nu formula disagrees with z_nu")

@@ -23,12 +23,21 @@ from .errors import (
     StructuralError,
 )
 from .rootdata import pairing
-from .satake import build_aiii, restricted_half_root, theta_weight
+from .satake import (
+    SatakeData,
+    build_aiii,
+    restricted_half_root,
+    theta_weight,
+)
 from .sln import _eij, a_antidiag, cartan_gram_inverse
 
 MU_FLAG_FACTOR = 10.0   # |mu| beyond this multiple of h flags a bad sign fit
 NULL_RTOL = 1e-9        # singular values up to this share of the largest: null
 CORNER_RTOL = 1e-12     # |K_{N1}| up to this share of max |K_ab|: zero
+STANDARD_ATOL = 1e-14   # |s_p| or |c_p^(0) - 1| up to this: the standard point
+PARAM_ATOL = 1e-12      # |Re s_p|, |Im c_p^(0)|, |s_p -+ 1| up to this: zero
+MIDDLE_RTOL = 1e-9      # middle-block eigenvalue off its closed form: error
+MUDROV_RTOL = 1e-9      # |y_i y_{N-i+1} + lam mu| over max(|lam mu|, 1): error
 
 
 def _qpow(q, expo):
@@ -147,7 +156,7 @@ class CoidealParams:
 
     N: int
     p: int
-    tag: str
+    sd: SatakeData = field(repr=False, compare=False)  # built by make_params
     c0: dict = field(default_factory=dict)       # i -> complex
     c_qexp: dict = field(default_factory=dict)   # i -> Fraction
     s0: dict = field(default_factory=dict)       # i -> complex
@@ -159,10 +168,14 @@ class CoidealParams:
         return self.s0[i]
 
     @property
+    def tag(self):
+        return self.sd.hermitian_tag
+
+    @property
     def is_standard(self):
         if self.tag == "S":
-            return abs(self.s0[self.p]) < 1e-14
-        return (abs(self.c0[self.p] - 1) < 1e-14
+            return abs(self.s0[self.p]) < STANDARD_ATOL
+        return (abs(self.c0[self.p] - 1) < STANDARD_ATOL
                 and self.c_qexp[self.p] == Fraction(-1, 2))
 
 
@@ -176,7 +189,7 @@ def make_params(N, p, s_p=0.0, c_p0=None, c_p_qexp=None, complex_ok=False):
     """
     sd = build_aiii(N, p)
     rs = sd.root_system
-    params = CoidealParams(N=N, p=p, tag=sd.hermitian_tag)
+    params = CoidealParams(N=N, p=p, sd=sd)
     for i in range(1, N):
         if i in sd.X:
             continue
@@ -190,10 +203,10 @@ def make_params(N, p, s_p=0.0, c_p0=None, c_p_qexp=None, complex_ok=False):
         if c_p0 is not None:
             raise ParameterError("S-type AIII takes the s_p parameter, not c_p")
         s_p = complex(s_p)
-        if not complex_ok and abs(s_p.real) > 1e-12:
+        if not complex_ok and abs(s_p.real) > PARAM_ATOL:
             raise ParameterError(
                 f"S-type requires s_p in iR, got {s_p}")
-        if abs(s_p - 1) < 1e-12 or abs(s_p + 1) < 1e-12:
+        if abs(s_p - 1) < PARAM_ATOL or abs(s_p + 1) < PARAM_ATOL:
             raise ParameterError("s_p = +-1 is excluded from T*_C")
         params.s0[p] = s_p
     else:
@@ -204,7 +217,7 @@ def make_params(N, p, s_p=0.0, c_p0=None, c_p_qexp=None, complex_ok=False):
         c_p0 = complex(c_p0)
         c_p_qexp = Fraction(c_p_qexp if c_p_qexp is not None else 0)
         if not complex_ok:
-            if abs(c_p0.imag) > 1e-12 or c_p0.real <= 0:
+            if abs(c_p0.imag) > PARAM_ATOL or c_p0.real <= 0:
                 raise ParameterError(f"C-type requires c_p > 0, got {c_p0}")
             c_p0 = c_p0.real
         hr = restricted_half_root(sd, p)
@@ -253,9 +266,9 @@ def coideal_generators(N, p, t, q):
     (a basis of h^theta), "gx" (E_j, F_j for black labels), and "all"
     (everything plus conjugate transposes, for commutant computations).
     """
-    sd = build_aiii(N, p)
-    if t.N != N or t.p != p or t.tag != sd.hermitian_tag:
+    if (t.N, t.p) != (N, p):
         raise ParameterError("parameter set does not match (N, p)")
+    sd = t.sd
     uq = fundamental(N, q)
     twx = lusztig_wX(N, p, q)
     twx_inv = np.linalg.inv(twx)
@@ -305,6 +318,7 @@ class KMatrixResult:
     fitted_g: complex
     closed_form_s_plus_mu: complex
     residuals: dict
+    diagnostics: dict      # the singular-value gap behind the nullity decision
 
 
 def closed_form_kmatrix(N, p, t, q):
@@ -425,20 +439,29 @@ def _null_vector(A):
     """The null vector of A, whose null space must be one dimensional.
 
     A singular value is null when it is at most NULL_RTOL times the largest,
-    so the decision does not change when A is scaled.
+    so the decision does not change when A is scaled.  Returns the vector and
+    the gap behind that decision: the smallest kept and the largest null
+    singular value, each over the largest (0 when A has fewer rows than
+    unknowns and the null one is implicit).
     """
     nvar = A.shape[1]
     # the rows x rows U is never used; vh needs all nvar rows only when A
     # has fewer rows than unknowns
     _, sing, vh = np.linalg.svd(A, full_matrices=A.shape[0] < nvar)
-    nullity = nvar - int(np.sum(sing > NULL_RTOL * sing[0]))
+    rank = int(np.sum(sing > NULL_RTOL * sing[0]))
+    nullity = nvar - rank
     if nullity == 0:
         raise StructuralError("no nonconstant solution in the Mudrov family")
     if nullity > 1:
         raise StructuralError(
             f"commutant solution space is {nullity}-dimensional "
             "within the Mudrov family")
-    return vh[-1].conj()
+    gap = {
+        "sigma_kept_min_rel": float(sing[rank - 1] / sing[0]),
+        "sigma_null_max_rel": (float(sing[rank] / sing[0])
+                               if rank < len(sing) else 0.0),
+    }
+    return vh[-1].conj(), gap
 
 
 def solve_kmatrix(N, p, t, q):
@@ -452,7 +475,7 @@ def solve_kmatrix(N, p, t, q):
     """
     gens = coideal_generators(N, p, t, q)
     A, support = _mudrov_system(N, p, gens["all"])
-    vec = _null_vector(A)
+    vec, null_gap = _null_vector(A)
     K = np.zeros((N, N), dtype=complex)
     for k, (a, b) in enumerate(support):
         K[a, b] = vec[k]
@@ -470,7 +493,7 @@ def solve_kmatrix(N, p, t, q):
     residuals["commutant"] = worst / float(np.linalg.norm(K))
     if N > 2 * p:
         lam_err = abs(K[p, p] - closed[p, p]) / abs(closed[p, p])
-        if lam_err > 1e-9:
+        if lam_err > MIDDLE_RTOL:
             raise StructuralError(
                 f"middle-block eigenvalue off closed form by {lam_err:.2e}")
     residuals["reflection"] = reflection_residual(K, q)
@@ -491,7 +514,7 @@ def solve_kmatrix(N, p, t, q):
               "y": [complex(v) for v in y]}
     for a in range(p):
         gap = abs(y[a] * y[2 * p - 1 - a] + lam * mu)
-        if gap > 1e-9 * max(abs(lam * mu), 1.0):
+        if gap > MUDROV_RTOL * max(abs(lam * mu), 1.0):
             raise StructuralError("Mudrov constraint y_i y_{N-i+1} = -lam mu fails")
 
     eigs = np.linalg.eigvals(K)
@@ -501,6 +524,7 @@ def solve_kmatrix(N, p, t, q):
         K=K, mudrov=mudrov, eigenvalues=eigs,
         inferred_s=s, inferred_s_plus_mu=x, fitted_g=g,
         closed_form_s_plus_mu=closed_x, residuals=residuals,
+        diagnostics=null_gap,
     )
 
 
@@ -516,12 +540,12 @@ def closed_form_s(N, p, t):
     """
     if N == 2 * p:
         c = complex(-1j * t.s0[p])
-        if abs(c.imag) > 1e-12:
+        if abs(c.imag) > PARAM_ATOL:
             raise DomainError("S-type closed form needs s_p in iR")
         c = c.real
         return 2 / np.pi * np.log(np.sqrt(1 + c * c) + c)
     c0 = complex(t.c0[p])
-    if abs(c0.imag) > 1e-12 or c0.real <= 0:
+    if abs(c0.imag) > PARAM_ATOL or c0.real <= 0:
         raise DomainError("C-type closed form needs c_p^(0) > 0")
     return 2 / np.pi * np.log(c0.real)
 

@@ -118,6 +118,70 @@ def test_pairing_bilinear_symmetric(u, v, c):
     assert pairing(rs, u, zero) == 0
 
 
+def _gram_pairing(rs, lam, mu):
+    """The double sum over the Gram matrix: the oracle for pairing."""
+    total = Fraction(0)
+    for i, a in enumerate(lam):
+        for j, b in enumerate(mu):
+            total += Fraction(a) * rs.form[i][j] * Fraction(b)
+    return total
+
+
+_half_integers = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-7, max_value=7).map(lambda k: Fraction(k, 2)),
+)
+
+
+@st.composite
+def _weight_pairs(draw):
+    N = draw(st.integers(min_value=2, max_value=12))
+    weight = st.lists(_half_integers, min_size=N, max_size=N)
+    return N, draw(weight), draw(weight)
+
+
+@given(_weight_pairs())
+@settings(max_examples=80, deadline=None)
+def test_pairing_closed_form_matches_gram_double_sum(case):
+    N, lam, mu = case
+    rs = build_type_a(N)
+    value = pairing(rs, lam, mu)
+    assert type(value) is Fraction
+    assert value == _gram_pairing(rs, lam, mu)
+
+
+def test_type_a_roots_have_int_coordinates():
+    rs = build_type_a(6)
+    for r in rs.simple_roots + rs.positive_roots:
+        assert all(type(c) is int for c in r)
+    assert type(pairing(rs, rs.simple_roots[0], rs.simple_roots[0])) is Fraction
+
+
+def _fraction_key(z):
+    """The sort key on Fractions: -iZ_nu, then e_1..e_{N-1}, unscaled."""
+    N = len(z)
+    vecs = [tuple(Fraction(x) for x in z)] + [
+        tuple(Fraction(int(i == j)) for i in range(N)) for j in range(N - 1)]
+
+    def key(root):
+        support = [(i, Fraction(c)) for i, c in enumerate(root) if c]
+        return tuple(sum(c * v[i] for i, c in support) for v in vecs)
+    return key
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_int_sort_keys_order_roots_as_fraction_keys(N):
+    rs = build_type_a(N)
+    for p in range(1, N // 2 + 1):
+        z = tuple(Fraction(N - p, N) if i < p else Fraction(-p, N)
+                  for i in range(N))
+        order = standard_order_type_a(z)
+        keys = order.check_regular(rs.positive_roots)
+        assert all(type(x) is int for k in keys for x in k)
+        expect = sorted(rs.positive_roots, key=_fraction_key(z))
+        assert order.sort(rs.positive_roots) == expect
+
+
 def test_lex_order_noncompact_above_compact():
     # AIII (4, 2): noncompact roots cross the block boundary
     z = (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2))

@@ -241,7 +241,7 @@ def _closed_form_cascade(N, p):
 @pytest.mark.parametrize(
     "N, p",
     [(N, p) for N in range(2, 13) for p in range(1, N // 2 + 1)]
-    + [(24, 12), (32, 16)])
+    + [(24, 12), (32, 16), (48, 24), (64, 32)])
 def test_cascade_matches_closed_form(N, p):
     assert build_aiii(N, p).cascade == _closed_form_cascade(N, p)
 

@@ -10,6 +10,8 @@ from qspair.errors import (
     ParameterError,
     StructuralError,
 )
+from qspair import satake
+from qspair.satake import cascade, normalization_constants, restricted_half_root
 from qspair.sln import (
     _eij,
     casimir_matrix,
@@ -155,6 +157,33 @@ def test_standard_params():
     assert abs(t.c_value(1, Q) - qp(Fraction(-1, 2))) < 1e-15
 
 
+@pytest.mark.parametrize("N", range(2, 9))
+def test_satake_halves_and_exponents_stay_exact(N):
+    for p in range(1, N // 2 + 1):
+        t = make_params(N, p)
+        sd = t.sd
+        values = list(t.c_qexp.values())
+        for i in range(1, N):
+            values.extend(restricted_half_root(sd, i))
+        if N == 2 * p:
+            values.extend(normalization_constants(sd)["Z_formula"])
+        assert all(isinstance(x, (int, Fraction)) for x in values), (N, p)
+
+
+def test_one_satake_build_per_solve(monkeypatch):
+    calls = []
+
+    def counting(sd):
+        calls.append((sd.N, sd.p))
+        return cascade(sd)
+
+    monkeypatch.setattr(satake, "cascade", counting)
+    for N, p, kw in [(4, 2, {"s_p": 0.2j}), (5, 2, {"c_p0": 1.3})]:
+        calls.clear()
+        solve_kmatrix(N, p, make_params(N, p, **kw), Q)
+        assert calls == [(N, p)]
+
+
 # ---------------------------------------------------------------------------
 # coideal generators
 
@@ -207,9 +236,10 @@ def test_classical_limit_of_generators():
 
 
 def test_generator_param_mismatch():
-    t = make_params(2, 1)
-    with pytest.raises(ParameterError):
-        coideal_generators(3, 1, t, Q)
+    for (N, p), t in [((3, 1), make_params(2, 1)),
+                      ((4, 2), make_params(4, 1, c_p0=0.9))]:
+        with pytest.raises(ParameterError):
+            coideal_generators(N, p, t, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +368,20 @@ def test_nullity_is_scale_free():
     N, p = 5, 2
     gens = coideal_generators(N, p, make_params(N, p, c_p0=0.8), Q)["all"]
     A, _ = _mudrov_system(N, p, gens)
-    vec = _null_vector(A)
+    vec, gap = _null_vector(A)
     # an extra unknown no equation reaches makes the null space 2-dimensional
     wide = np.hstack([A, np.zeros((A.shape[0], 1))])
     for scale in (1e-12, 1.0, 1e6):
-        assert abs(np.vdot(_null_vector(scale * A), vec)) == pytest.approx(1)
+        scaled, scaled_gap = _null_vector(scale * A)
+        assert abs(np.vdot(scaled, vec)) == pytest.approx(1)
+        assert scaled_gap["sigma_kept_min_rel"] == pytest.approx(
+            gap["sigma_kept_min_rel"])
         with pytest.raises(StructuralError, match="2-dimensional"):
             _null_vector(scale * wide)
-    # fewer equations than unknowns
-    short = _null_vector(np.array([[1.0, -1.0]]))
+    # fewer equations than unknowns: the null singular value is implicit
+    short, short_gap = _null_vector(np.array([[1.0, -1.0]]))
     assert np.allclose(np.abs(short), [2 ** -0.5, 2 ** -0.5])
+    assert short_gap == {"sigma_kept_min_rel": 1.0, "sigma_null_max_rel": 0.0}
 
 
 def test_solve_kmatrix_n32_matches_closed_form():
