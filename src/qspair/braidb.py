@@ -28,14 +28,7 @@ from scipy import sparse
 from . import blocks
 from .errors import ComparisonError, ParameterError, ShapeError
 from .kzmono import psi_kz, r_kz, ribbon_kz
-from .sln import (
-    embed_on_legs,
-    flip_matrix,
-    fundamental_rep,
-    permute_legs,
-    realize,
-    tensor_rep,
-)
+from .sln import embed_on_legs, fundamental_rep, realize, tensor_rep
 from .uqsl import (
     make_params,
     r_matrix,
@@ -59,12 +52,12 @@ class BraidRep:
 def build_rep(E, R, psi_family, n, dims):
     """Assemble the Gamma_n generator matrices as CSR matrices.
 
-    E acts on V (x) W, R on W (x) W.  psi_family("0,1,2") must return the
-    associator on V (x) W (x) W and psi_family("01,2,3") the grouped one on
-    (V (x) W) (x) W (x) W, dense or sparse; families recompute with
-    tensor-product representations on merged legs.  The associators are
-    inverted block by block (blocks.inverse).  The fixed parenthesization
-    needs no Phi for n <= 3.
+    E acts on V (x) W, R (dense) on W (x) W.  psi_family("0,1,2") must
+    return the associator on V (x) W (x) W and psi_family("01,2,3") the
+    grouped one on (V (x) W) (x) W (x) W, dense or sparse; families
+    recompute with tensor-product representations on merged legs.  The
+    associators are inverted block by block (blocks.inverse).  The fixed
+    parenthesization needs no Phi for n <= 3.
     """
     if n not in (1, 2, 3):
         raise ParameterError("n <= 3 strand budget (dimension grows fast)")
@@ -80,7 +73,7 @@ def build_rep(E, R, psi_family, n, dims):
                        grouping="V.W", residuals={})
         rep.residuals = relation_residuals(rep)
         return rep
-    sR = flip_matrix(dw) @ R
+    sR = R.reshape(dw, dw, -1).swapaxes(0, 1).reshape(R.shape)   # Sigma R
 
     def conjugate(psi, left):
         """psi^{-1} (1_left (x) Sigma R) psi."""
@@ -189,8 +182,9 @@ def q_side_rep(N, p, t, h, n):
     kr = solve_kmatrix(N, p, t, q)
     R = r_matrix(N, q)
     scal = universal_r_scalar(N, q)
-    R21 = permute_legs(R, (N, N), (1, 0))
-    E = scal ** 2 * (R21 @ np.kron(np.eye(N), kr.K) @ R)
+    R21 = embed_on_legs(R, (N, N), (1, 0)).toarray()
+    K2 = embed_on_legs(kr.K, (N, N), (1,)).toarray()
+    E = scal ** 2 * (R21 @ K2 @ R)
 
     def psi_one(grouping):
         d = N ** (len(grouping.split(",")) + (1 if "01" in grouping else 0))

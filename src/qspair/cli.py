@@ -2,15 +2,13 @@
 
 Every subcommand emits one JSON document {command, config_echo, results,
 residuals, status} (CSV for the tabular outputs) and is deterministic for a
-fixed configuration: floats are serialized at 15 significant digits.  The
-default series tolerance can be overridden with the QSPAIR_TOL environment
-variable.  Exit codes: 0 ok, 1 verify-all failure, 2 usage, then one code
-per error family (see EXIT_CODES in --help).
+fixed configuration: floats are serialized at 15 significant digits.  Exit
+codes: 0 ok, 1 verify-all failure, 2 usage, then one code per error family
+(see EXIT_CODES in --help).
 """
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -36,6 +34,7 @@ from .sln import (
     fix_theta_generator_residual,
     fundamental_rep,
     omega_pairing,
+    phi_near_odd,
     r_rotation_residual,
     realize,
 )
@@ -58,9 +57,6 @@ EPILOG = """exit codes:
   3 parameter       4 resonance               5 series truncation
   6 structural      7 comparison failure      8 domain error
   9 shape mismatch 10 other qspair error     11 out of memory
-
-environment:
-  QSPAIR_TOL  overrides the default Frobenius series tolerance (1e-12)
 """
 
 
@@ -114,10 +110,6 @@ def emit(command, config, results, residuals=None, status="ok", out=None,
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-
-
-def _default_tol():
-    return float(os.environ.get("QSPAIR_TOL", "1e-12"))
 
 
 def _params_from_args(args):
@@ -184,7 +176,7 @@ def cmd_cayley_check(args):
     rr = r_rotation_residual(pr, args.phi)
     cr = coisotropy_residual(pr, args.phi)
     residuals = {"r_rotation": rr, "coisotropy": cr}
-    if abs(((args.phi - 1) / 2) % 1.0) > 1e-9:
+    if not phi_near_odd(args.phi):
         residuals["generator_membership"] = fix_theta_generator_residual(
             pr, args.phi)
     # seeded negative control: a random m_phi element must NOT be coisotropic
@@ -358,16 +350,13 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, n_p=True, h=False, tol=False):
-        if n_p:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--p", type=int, required=True)
+    def common(p, h=False, tol=False):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
         if h:
             p.add_argument("--h", type=float, default=0.05)
-            p.add_argument("--q", type=float, default=None,
-                           help="alternative to --h: q = e^h")
         if tol:
-            p.add_argument("--tol", type=float, default=_default_tol())
+            p.add_argument("--tol", type=float, default=1e-12)
             p.add_argument("--max-order", type=int, default=200)
         p.add_argument("--out", default=None,
                        help="also write the report to this file "
@@ -394,15 +383,16 @@ def build_parser():
     p.set_defaults(fn=cmd_pairing)
 
     p = sub.add_parser("kz-psi", help="cyclotomic associator and residuals")
-    common(p, h=False, tol=True)
+    common(p, h=True, tol=True)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--no-matrix", action="store_true")
     p.set_defaults(fn=cmd_kz_psi)
 
     p = sub.add_parser("kmatrix", help="solve the coideal K-matrix")
     common(p, h=True)
+    p.add_argument("--q", type=float, default=None,
+                   help="alternative to --h: q = e^h")
     p.add_argument("--type-params", action="append", default=None,
                    metavar="KEY=VALUE",
                    help="s_p=0.3j (S-type) or c_p=1.3 (C-type)")
@@ -412,8 +402,7 @@ def build_parser():
     p.set_defaults(fn=cmd_kmatrix)
 
     p = sub.add_parser("braid-rep", help="Gamma_n generator residuals")
-    common(p, tol=True)
-    p.add_argument("--h", type=float, default=0.05)
+    common(p, h=True, tol=True)
     p.add_argument("--side", choices=["q", "kz"], default="q")
     p.add_argument("--strands", type=int, default=2)
     p.add_argument("--type-params", action="append", default=None)
@@ -421,8 +410,7 @@ def build_parser():
     p.set_defaults(fn=cmd_braid_rep)
 
     p = sub.add_parser("kohno-drinfeld", help="trace comparison of the sides")
-    common(p, tol=True)
-    p.add_argument("--h", type=float, default=0.05)
+    common(p, h=True, tol=True)
     p.add_argument("--strands", type=int, default=2)
     p.add_argument("--type-params", action="append", default=None)
     p.add_argument("--words", default=None,

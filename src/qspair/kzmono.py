@@ -33,17 +33,12 @@ from scipy.special import digamma
 
 from .blocks import Blocks
 from .errors import DomainError, ParameterError, ResonanceError, TruncationError
-from .sln import (
-    build_leg_tensor,
-    k_basis,
-    permute_legs,
-    place_on_legs,
-    tensor_rep,
-)
+from .sln import build_leg_tensor, embed_on_legs, k_basis, tensor_rep
 
 EULER_GAMMA = 0.5772156649015328606
 
 RESONANCE_THRESHOLD = 1e-8
+MAX_H = 0.1                 # psi_kz's supported domain |h| <= MAX_H
 RESONANCE_CHUNK = 1 << 16   # eigenvalue differences checked at a time
 EIG_COND_LIMIT = 1e8
 
@@ -236,14 +231,14 @@ def _hbar(h):
     return h / (np.pi * 1j)
 
 
-def psi_kz(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200, max_h=0.1):
+def psi_kz(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200):
     """Psi_{KZ,s;mu} on legs (0,1,2); leg 0 carries the coideal-side module.
 
     The coefficients only ever involve s + mu, so the two parameters are
     collapsed before integration.
     """
-    if abs(h) > max_h:
-        raise ParameterError(f"|h| = {abs(h)} exceeds max_h = {max_h}")
+    if abs(h) > MAX_H:
+        raise ParameterError(f"|h| = {abs(h)} exceeds max_h = {MAX_H}")
     if len(reps) != 3:
         raise ParameterError("psi_kz needs exactly three representations")
     x = complex(s) + complex(mu)
@@ -329,8 +324,8 @@ def ribbon_kz(pr, reps, s, mu=0.0, h=0.05, central_g=1.0, variant="sigma"):
         expo = expo + np.pi * (1 - 1j * x) * z1
     elif variant != "nonhermitian":
         raise ParameterError(f"unknown ribbon variant {variant!r}")
-    g1 = place_on_legs({1: central_scalar_matrix(pr, reps[1], central_g)},
-                       tuple(r.dim for r in reps))
+    g1 = embed_on_legs(central_scalar_matrix(pr, reps[1], central_g),
+                       tuple(r.dim for r in reps), (1,)).toarray()
     return expm(expo) @ g1
 
 
@@ -372,15 +367,6 @@ def first_order_oracle_s_derivative(pr, reps, s):
 # ---------------------------------------------------------------------------
 # identity residuals
 
-def _perm_matrix(mat, dims, placement):
-    """Place the tensor legs of mat so that old leg i sits at placement[i]."""
-    n = len(dims)
-    perm = [0] * n
-    for old, new in enumerate(placement):
-        perm[new] = old
-    return permute_legs(mat, [dims[perm[i]] for i in range(n)], perm)
-
-
 def sigma_conjugator(pr, rep):
     """Matrix of exp(pi Z_nu) in the representation; Ad of it is sigma."""
     return expm(rep.rho(np.pi * pr.Znu))
@@ -411,8 +397,8 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     psi_0_12_3 = psi_kz(pr, (rep0, ff, f), s, mu, **kw).toarray()  # V,(WW),W
     psi_0_1_23 = psi_kz(pr, (rep0, f, ff), s, mu, **kw).toarray()
     psi_01_2_3 = psi_kz(pr, (tf, f, f), s, mu, **kw).toarray()
-    psi_012_I = np.kron(psi_012, np.eye(f.dim))
-    phi_123 = np.kron(np.eye(rep0.dim), phi)
+    psi_012_I = embed_on_legs(psi_012, dims4, (0, 1, 2)).toarray()
+    phi_123 = embed_on_legs(phi, dims4, (1, 2, 3)).toarray()
     lhs = phi_123 @ psi_0_12_3 @ psi_012_I
     rhs = psi_0_1_23 @ psi_01_2_3
     mixed_pentagon = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
@@ -426,17 +412,19 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     E_0_12 = ribbon_kz(pr, (rep0, ff), s, mu, h=h, central_g=central_g,
                        variant="sigma")       # (id (x) Delta)(E)
     R = r_kz(pr, (f, f), h)
-    R_12 = np.kron(np.eye(rep0.dim), R)
-    R_21 = np.kron(np.eye(rep0.dim), permute_legs(R, (f.dim, f.dim), (1, 0)))
+    on3 = lambda T, legs: embed_on_legs(T, dims3, legs).toarray()
+    R_12 = on3(R, (1, 2))
+    R_21 = on3(R, (2, 1))
     psi = psi_012
-    psi_021 = permute_legs(psi, dims3, (0, 2, 1))
-    E_02 = _embed_two_leg(E, dims3, 0, 2)
-    E_01 = _embed_two_leg(E, dims3, 0, 1)
+    psi_021 = on3(psi, (0, 2, 1))
+    E_02 = on3(E, (0, 2))
+    E_01 = on3(E, (0, 1))
     u = sigma_conjugator(pr, f)
-    C2 = place_on_legs({2: u}, dims3)
-    C2i = place_on_legs({2: np.linalg.inv(u)}, dims3)
-    C12 = place_on_legs({1: u, 2: u}, dims3)
-    C12i = place_on_legs({1: np.linalg.inv(u), 2: np.linalg.inv(u)}, dims3)
+    ui = np.linalg.inv(u)
+    C2 = on3(u, (2,))
+    C2i = on3(ui, (2,))
+    C12 = on3(np.kron(u, u), (1, 2))
+    C12i = on3(np.kron(ui, ui), (1, 2))
 
     beta2 = lambda M: C2 @ M @ C2i
     inner = beta2(np.linalg.solve(psi_021, R_12 @ psi))
@@ -453,9 +441,10 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
                         for legs in ((0, 2), (1, 2), (0, 1)))
     Rd13 = expm(-h * tu13)
     lhs_h1 = expm(-h * (tu13 + tu23))           # (Delta (x) id)(R)
-    R23 = np.kron(np.eye(f.dim), R)
-    R12f = np.kron(R, np.eye(f.dim))
-    P = lambda order: _perm_matrix(phi, dimsW, order)
+    onW = lambda T, legs: embed_on_legs(T, dimsW, legs).toarray()
+    R23 = onW(R, (1, 2))
+    R12f = onW(R, (0, 1))
+    P = lambda order: onW(phi, order)
     # (Delta (x) id)(R) = Phi_312 R_13 Phi_132^{-1} R_23 Phi_123
     rhs_h1 = P((2, 0, 1)) @ Rd13 @ np.linalg.inv(P((0, 2, 1))) @ R23 @ phi
     hexagon_1 = np.linalg.norm(lhs_h1 - rhs_h1) / np.linalg.norm(rhs_h1)
@@ -468,10 +457,7 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     # --- k-invariance of Psi (the alpha = Delta intertwiner identity)
     worst = 0.0
     for X in k_basis(pr):
-        D = sum(
-            place_on_legs({i: r.rho(X)}, dims3)
-            for i, r in enumerate((rep0, f, f))
-        )
+        D = sum(on3(r.rho(X), (i,)) for i, r in enumerate((rep0, f, f)))
         worst = max(worst, float(np.linalg.norm(psi @ D - D @ psi)))
     psi_intertwiner = worst / np.linalg.norm(psi)
 
@@ -483,19 +469,4 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
         "hexagon_2": float(hexagon_2),
         "psi_intertwiner": float(psi_intertwiner),
     }
-
-
-def _embed_two_leg(E, dims, i, j):
-    """Place a two-leg operator E on legs (i, j) of a product with dims."""
-    n = len(dims)
-    full = np.kron(E, np.eye(int(np.prod([d for k, d in enumerate(dims)
-                                          if k not in (i, j)]))))
-    # full acts on legs ordered (i, j, rest...); permute into place
-    order = [i, j] + [k for k in range(n) if k not in (i, j)]
-    dims_ordered = [dims[k] for k in order]
-    placement = [0] * n
-    for pos, leg in enumerate(order):
-        placement[leg] = pos
-    perm = [placement[k] for k in range(n)]
-    return permute_legs(full, dims_ordered, perm)
 

@@ -22,6 +22,8 @@ from .blocks import entries
 from .errors import DomainError, ParameterError, ShapeError
 from . import satake as satake_mod
 
+ODD_PHI_TOL = 1e-12     # distance below which phi counts as in 1 + 2Z
+
 
 # ---------------------------------------------------------------------------
 # representations
@@ -66,40 +68,6 @@ def tensor_rep(a, b):
         return np.kron(a.rho(X), ib) + np.kron(ia, b.rho(X))
 
     return Representation(dim=da * db, rho=rho, name=f"({a.name})*({b.name})")
-
-
-# ---------------------------------------------------------------------------
-# leg tensors
-
-def place_on_legs(ops, dims):
-    """Kronecker product with ops[i] (or identity) on leg i."""
-    out = None
-    for i, d in enumerate(dims):
-        m = ops.get(i)
-        if m is None:
-            m = np.eye(d)
-        out = m if out is None else np.kron(out, m)
-    return out
-
-
-def permute_legs(mat, dims, perm):
-    """Similarity transform implementing legs[k] -> position of perm.
-
-    perm[i] = old position that moves to new position i.
-    """
-    n = len(dims)
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    axes = list(perm) + [n + p for p in perm]
-    return np.transpose(t, axes).reshape(mat.shape)
-
-
-def flip_matrix(d):
-    """The flip Sigma(v (x) w) = w (x) v on C^d (x) C^d as a permutation matrix."""
-    out = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            out[j * d + i, i * d + j] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +195,15 @@ def _leg_offsets(dims, legs):
 
 
 def embed_on_legs(T, dims, legs):
-    """T, dense or sparse, acting on the given legs (in that order) of
-    prod dims and as the identity on the other legs, as a CSR matrix.
+    """T, dense or sparse, acting on the given legs of prod dims and as the
+    identity on the other legs, as a CSR matrix.
 
-    Row i of the result is row a of T on the legs and the identity on the
-    rest, so the CSR arrays are gathered from T's entries directly.
+    T's k-th leg goes on legs[k], in any order: with legs a permutation of
+    all legs this is the leg-permuting similarity, e.g. (1, 0) on two legs
+    gives R_21 from R.  Every placement of an operator on tensor legs goes
+    through here.  Row i of the result is row a of T on the legs and the
+    identity on the rest, so the CSR arrays are gathered from T's entries
+    directly.
     """
     local = _leg_offsets(dims, legs)
     rest = _leg_offsets(dims, [k for k in range(len(dims)) if k not in legs])
@@ -457,6 +429,12 @@ def theta_prime_operator(pr):
     return theta
 
 
+def phi_near_odd(phi):
+    """Whether phi lies within ODD_PHI_TOL of 1 + 2Z, on either side."""
+    x = (phi - 1) / 2
+    return abs(x - np.rint(x)) < ODD_PHI_TOL
+
+
 def fix_theta_generator_residual(pr, phi):
     """Distance of the Prop-style distinguished generator(s) to k_phi^C.
 
@@ -465,7 +443,7 @@ def fix_theta_generator_residual(pr, phi):
     and X_{alpha_o'} + c_o^{-1} theta(X_{alpha_o'}),
     c_o = -cot(pi (phi - 1) / 4).  Returns the max distance.
     """
-    if abs(((phi - 1) / 2) % 1.0) < 1e-12:
+    if phi_near_odd(phi):
         raise DomainError("phi must avoid 1 + 2Z")
     N, p = pr.N, pr.p
     theta = theta_prime_operator(pr)

@@ -13,7 +13,6 @@ from qspair.braidb import (
     relation_residuals,
     word_matrix,
 )
-from qspair.sln import flip_matrix
 from qspair.uqsl import make_params, solve_kmatrix
 
 
@@ -182,10 +181,19 @@ def _dense(m):
     return m.toarray() if sparse.issparse(m) else np.asarray(m)
 
 
+def _flip(d):
+    """Sigma(v (x) w) = w (x) v on C^d (x) C^d as a permutation matrix."""
+    out = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            out[j * d + i, i * d + j] = 1.0
+    return out
+
+
 def _dense_build_rep(E, R, psi_family, n, dims):
     """(rho1, sigma) of the fixed parenthesization, all dense."""
     dv, dw = dims
-    sR = flip_matrix(dw) @ R
+    sR = _flip(dw) @ R
     psi = psi_family("0,1,2")
     sigma1_small = np.linalg.solve(psi, np.kron(np.eye(dv), sR)) @ psi
     rho1 = np.kron(E, np.eye(dw ** (n - 1)))

@@ -43,6 +43,13 @@ def test_cayley_check(capsys):
     assert doc["residuals"]["negative_control"] > 0.01
 
 
+def test_cayley_check_omits_generator_just_below_odd_phi(capsys):
+    code, doc = run_json(capsys, "cayley-check", "--n", "3", "--p", "1",
+                         "--phi", repr(1 - 1e-13))
+    assert code == 0
+    assert "generator_membership" not in doc["residuals"]
+
+
 def test_pairing(capsys):
     code, doc = run_json(capsys, "pairing", "--n", "2", "--p", "1")
     assert code == 0
@@ -83,6 +90,11 @@ def test_kz_psi(capsys):
                          "--s", "0.4", "--no-matrix")
     assert code == 0
     assert max(doc["residuals"].values()) < 1e-8
+
+
+def test_kz_psi_rejects_large_h(capsys):
+    code, _ = run_cli(capsys, "kz-psi", "--n", "2", "--p", "1", "--h", "0.2")
+    assert code == 3
 
 
 def test_kohno_drinfeld(capsys):

@@ -6,8 +6,8 @@ Each report is the ``--out`` file of the same invocation, e.g.
     PYTHONPATH=src python -m qspair.cli satake --n 5 --p 2 \
         --out golden/satake/n5_p2.json
 
-with QSPAIR_TOL unset.  Regenerate a report only for an intended change of
-output, and say why in the change log.
+Regenerate a report only for an intended change of output, and say why in
+the change log.
 """
 
 import shlex
@@ -56,8 +56,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_report(case, capsys, monkeypatch):
-    monkeypatch.delenv("QSPAIR_TOL", raising=False)
+def test_golden_report(case, capsys):
     code = main(shlex.split(CASES[case]))
     out = capsys.readouterr().out
     assert code == 0

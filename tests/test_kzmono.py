@@ -425,8 +425,9 @@ def test_counit_normalization(pr2):
 
 
 def test_psi_rejects_large_h(pr2):
-    with pytest.raises(ParameterError):
-        psi_kz(pr2, (F2, F2, F2), 0.0, 0.0, h=0.5)
+    for h in (0.11, -0.11, 0.5):
+        with pytest.raises(ParameterError, match="exceeds max_h = 0.1"):
+            psi_kz(pr2, (F2, F2, F2), 0.0, 0.0, h=h)
 
 
 def test_psi_resonant_s_rejected(pr2):

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qspair.errors import DomainError, ParameterError, ShapeError
 from qspair import sln
@@ -215,8 +217,13 @@ def test_fix_theta_generators(phi):
 
 
 def test_fix_theta_rejects_odd_phi():
-    with pytest.raises(DomainError):
-        fix_theta_generator_residual(realize(4, 2), 1.0)
+    # on and on either side of 1, 3 and -1, within the guard's tolerance
+    for N, p in [(4, 2), (3, 1)]:
+        pr = realize(N, p)
+        for odd in (1, 3, -1):
+            for phi in (odd, odd - 1e-13, odd + 1e-13):
+                with pytest.raises(DomainError):
+                    fix_theta_generator_residual(pr, phi)
 
 
 def test_theta_prime_agrees_with_satake_matrix_on_cartan():
@@ -290,6 +297,33 @@ def test_leg_tensor_z_placement():
     lt = build_leg_tensor(pr, "Z", (f, f, f), (1,))
     expected = np.kron(np.eye(2), np.kron(pr.Znu, np.eye(2)))
     assert np.max(np.abs(lt - expected)) < 1e-14
+
+
+def _kron_reference(T, dims, legs):
+    """T on legs (in that order) by np.kron with the identity on the other
+    legs, then a reshape/transpose that moves each leg into its place."""
+    rest = [k for k in range(len(dims)) if k not in legs]
+    order = list(legs) + rest
+    full = np.kron(T, np.eye(int(np.prod([dims[k] for k in rest]))))
+    n = len(dims)
+    axes = [order.index(k) for k in range(n)]
+    t = full.reshape([dims[k] for k in order] * 2)
+    return t.transpose(axes + [n + a for a in axes]).reshape(full.shape)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 1, 2), (2, 2, 2, 3)])
+def test_embed_on_legs_matches_kron_reference(dims):
+    rng = np.random.default_rng(len(dims))
+    for k in range(1, len(dims) + 1):
+        for legs in itertools.permutations(range(len(dims)), k):
+            d = int(np.prod([dims[i] for i in legs]))
+            T = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            T[rng.random((d, d)) < 0.3] = 0
+            ref = _kron_reference(T, dims, legs)
+            for given in (T, sparse.csr_array(T)):
+                got = sln.embed_on_legs(given, dims, legs)
+                assert sparse.issparse(got)
+                assert np.array_equal(got.toarray(), ref), legs
 
 
 def test_leg_tensor_shape_errors():

@@ -15,7 +15,6 @@ from qspair.satake import cascade, normalization_constants, restricted_half_root
 from qspair.sln import (
     _eij,
     casimir_matrix,
-    flip_matrix,
     fundamental_rep,
     realize,
 )
@@ -325,12 +324,21 @@ def test_reflection_residual_negative_control():
     assert reflection_residual(K, Q) > 1e-3
 
 
+def _flip(d):
+    """Sigma(v (x) w) = w (x) v on C^d (x) C^d as a permutation matrix."""
+    out = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            out[j * d + i, i * d + j] = 1.0
+    return out
+
+
 @pytest.mark.parametrize("q", [Q, 0.83])
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_reflection_residual_matches_dense_formula(N, q):
     rng = np.random.default_rng(N)
     K = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    Rh = flip_matrix(N) @ r_matrix(N, q)
+    Rh = _flip(N) @ r_matrix(N, q)
     K1 = np.kron(K, np.eye(N))
     lhs = K1 @ Rh @ K1 @ Rh
     rhs = Rh @ K1 @ Rh @ K1
