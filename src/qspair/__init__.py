@@ -12,7 +12,7 @@ from .errors import (
     StructuralError,
     TruncationError,
 )
-from .rootdata import RootOrder, RootSystem, build_from_cartan, build_type_a, pairing
+from .rootdata import RootOrder, RootSystem, build_type_a, pairing
 from .satake import (
     RootPartition,
     SatakeData,

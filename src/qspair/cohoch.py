@@ -15,7 +15,9 @@ d keeps the letter content of a cochain (its exponents summed over the
 legs), so C^{n,w} splits into content blocks and no whole C^{n,w} is ever
 built: its dimension is a sum of closed-form block sizes, its rank a sum of
 block ranks, and its h-invariant counterparts are signed sums over the
-torus weights of the blocks.
+torus weights of the blocks.  Both sums run over the orbits of the contents
+under the letter permutations that keep the h letters among themselves,
+each orbit counted with its signed multiplicity.
 
 Everything is exact: the differential has integer entries and the
 elimination works over Fractions.  Rank is discontinuous, so floats never
@@ -295,6 +297,8 @@ class CochainComplex:
     max_degree: int
     max_weight: int
     _block_rank_cache: dict = field(default_factory=dict)
+    _splits_cache: dict = field(default_factory=dict)
+    _orbit_tables: dict = field(default_factory=dict)
 
     def block(self, n, content):
         """Basis of the block of C^n with this letter content."""
@@ -317,6 +321,12 @@ class CochainComplex:
             size *= comb(c + legs - 1, legs - 1) if legs else int(c == 0)
         return size
 
+    def _splits(self, m):
+        """The module's _splits(m) as a tuple, built once per exponent tuple."""
+        if m not in self._splits_cache:
+            self._splits_cache[m] = tuple(_splits(m))
+        return self._splits_cache[m]
+
     def _column(self, elt):
         """d of one basis element of C^n as a sparse dict."""
         d = self.lie.dim
@@ -327,17 +337,22 @@ class CochainComplex:
 
         m0, rest = elt[0], elt[1:]
         # j = 0: coproduct on the W leg, second factor lands in V
-        for a, b, coeff in _splits(m0):
+        for a, b, coeff in self._splits(m0):
             add((a, _embed(b, d)) + rest, coeff)
         # j = 1..n: coproduct on V legs
         for j in range(len(rest)):
-            for a, b, coeff in _splits(rest[j]):
+            for a, b, coeff in self._splits(rest[j]):
                 target = (m0,) + rest[:j] + (a, b) + rest[j + 1:]
                 add(target, (-1) ** (j + 1) * coeff)
         # final counit-style term T (x) 1
         unit = (0,) * d
         add(elt + (unit,), (-1) ** (len(rest) + 1))
         return {k: v for k, v in col.items() if v}
+
+    def _orbit(self, content):
+        """The sorted content of the h letters and of the other letters."""
+        dh = self.lie.dim_h
+        return tuple(sorted(content[:dh])), tuple(sorted(content[dh:]))
 
     def block_rank(self, n, content):
         """Rank of d on the block of C^n with this letter content.
@@ -347,30 +362,42 @@ class CochainComplex:
         d, so the rank depends only on n and the sorted content of each kind
         of letter; it is computed once for each such orbit.
         """
-        dh = self.lie.dim_h
-        key = (n, tuple(sorted(content[:dh])), tuple(sorted(content[dh:])))
+        key = (n,) + self._orbit(content)
         if key not in self._block_rank_cache:
             self._block_rank_cache[key] = rank_of_columns(
                 [self._column(e) for e in self.block(n, content)])
         return self._block_rank_cache[key]
 
-    def _count(self, n, w, invariant, per_block):
-        """Sum of per_block(n, content) over the blocks of C^{n,w}.
+    def _orbit_table(self, w, invariant):
+        """(signed multiplicity, representative) of each orbit of block_rank
+        among the weight-w contents, built once per (w, invariant).
 
-        For the h-invariants each block counts with the sign of the shift
-        its torus weight equals, and not at all if there is none: d is
-        h-equivariant, so the invariant dimension and rank follow from the
-        weight spaces, which are sums of blocks.
+        A content counts 1, or for the h-invariants the sign of the shift its
+        torus weight equals, 0 if none: d is h-equivariant, so the invariant
+        dimension and rank follow from the weight spaces, sums of blocks.
         """
-        total = 0
-        for content in monomials(self.lie.dim, w):
-            sign = 1
-            if invariant:
-                weight = self.lie.weight(content)
-                sign = sum(s for s, shift in self.lie.shifts if shift == weight)
-            if sign:
-                total += sign * per_block(n, content)
-        return total
+        key = (w, invariant)
+        if key not in self._orbit_tables:
+            table = {}
+            for content in monomials(self.lie.dim, w):
+                sign = 1
+                if invariant:
+                    weight = self.lie.weight(content)
+                    sign = sum(s for s, shift in self.lie.shifts
+                               if shift == weight)
+                if sign:
+                    orbit = self._orbit(content)
+                    mult, rep = table.get(orbit, (0, content))
+                    table[orbit] = (mult + sign, rep)
+            self._orbit_tables[key] = [entry for entry in table.values()
+                                       if entry[0]]
+        return self._orbit_tables[key]
+
+    def _count(self, n, w, invariant, per_block):
+        """Sum of per_block(n, content) over the blocks of C^{n,w}, one call
+        per orbit: block sizes and ranks depend only on the orbit."""
+        return sum(mult * per_block(n, rep)
+                   for mult, rep in self._orbit_table(w, invariant))
 
     def dim(self, n, w, invariant=False):
         """dim C^{n,w}, or of its h-invariants."""

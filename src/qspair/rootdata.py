@@ -1,12 +1,9 @@
-"""Root-system combinatorics with an exact rational bilinear form.
+"""Type-A root combinatorics with an exact rational bilinear form.
 
-Weights are tuples of exact rationals (ints or Fractions).  For type A_{N-1}
-they are coordinate vectors in the L_i basis (L_i reads off the i-th diagonal
-entry), with the normalized invariant form (L_i, L_i) = 1 - 1/N,
-(L_i, L_j) = -1/N; the roots L_a - L_b carry int coordinates.  For a
-generic Cartan matrix, weights live in the simple-root basis and the form is
-(alpha_i, alpha_j) = d_i a_{ij}, normalized so short roots have square
-length 2.  Everything here is exact; floats never enter.
+Weights of A_{N-1} are tuples of exact rationals (ints or Fractions) in the
+L_i basis (L_i reads off the i-th diagonal entry), with the normalized
+invariant form (L_i, L_i) = 1 - 1/N, (L_i, L_j) = -1/N; the roots L_a - L_b
+carry int coordinates.  Everything here is exact; floats never enter.
 """
 
 from dataclasses import dataclass, field
@@ -21,11 +18,10 @@ from .errors import ParameterError, ShapeError
 class RootSystem:
     rank: int
     cartan: tuple            # rank x rank tuple of ints, a_{ij}
-    simple_roots: tuple      # weight vectors in the ambient coordinates
-    form: tuple              # symmetric Gram matrix on the ambient coordinates
+    simple_roots: tuple      # weight vectors in the L coordinates
+    form: tuple              # symmetric Gram matrix on the L coordinates
     d: tuple                 # half square lengths d_i = (alpha_i, alpha_i)/2
     positive_roots: tuple    # all positive roots as weight vectors
-    ambient: str = "simple"  # "L" for the type A realization
 
     @property
     def dim_ambient(self):
@@ -42,32 +38,13 @@ def pairing(rs, lam, mu):
         raise ShapeError(
             f"weights must have {n} coordinates, got {len(lam)} and {len(mu)}"
         )
-    if rs.ambient == "L":
-        return sum(map(mul, lam, mu)) - Fraction(sum(lam) * sum(mu), n)
-    mu_support = [(j, Fraction(b)) for j, b in enumerate(mu) if b]
-    total = Fraction(0)
-    for i, a in enumerate(lam):
-        if a == 0:
-            continue
-        a = Fraction(a)
-        row = rs.form[i]
-        for j, b in mu_support:
-            total += a * row[j] * b
-    return total
+    return sum(map(mul, lam, mu)) - Fraction(sum(lam) * sum(mu), n)
 
 
 def coroot(rs, alpha):
     """alpha^vee = 2 alpha / (alpha, alpha)."""
     norm2 = pairing(rs, alpha, alpha)
     return tuple(2 * a / norm2 for a in alpha)
-
-
-def _add(v, w):
-    return tuple(a + b for a, b in zip(v, w))
-
-
-def _sub(v, w):
-    return tuple(a - b for a, b in zip(v, w))
 
 
 def build_type_a(N):
@@ -101,84 +78,6 @@ def build_type_a(N):
         form=form,
         d=tuple(Fraction(1) for _ in range(rank)),
         positive_roots=tuple(pos),
-        ambient="L",
-    )
-
-
-def _symmetrizer(cartan):
-    """Positive rationals d with d_i a_{ij} = d_j a_{ji}, minimum entry 1."""
-    rank = len(cartan)
-    d = [None] * rank
-    for start in range(rank):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(rank):
-                if cartan[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    stack.append(j)
-    lo = min(d)
-    return tuple(x / lo for x in d)
-
-
-def build_from_cartan(cartan):
-    """Root system for a finite-type Cartan matrix, simple-root coordinates.
-
-    Positive roots are generated height by height using root strings; the
-    loop terminates for finite type and is the caller's responsibility
-    otherwise.
-    """
-    rank = len(cartan)
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
-    for i in range(rank):
-        if cartan[i][i] != 2:
-            raise ParameterError("Cartan diagonal must be 2")
-    d = _symmetrizer(cartan)
-    form = tuple(
-        tuple(d[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
-    )
-    simple = []
-    for i in range(rank):
-        v = [Fraction(0)] * rank
-        v[i] = Fraction(1)
-        simple.append(tuple(v))
-
-    # generate positive roots by height
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(rank):
-                # q - p = -<beta, alpha_i^vee>; beta + alpha_i is a root iff q > 0
-                r = sum(beta[j] * cartan[i][j] for j in range(rank))
-                p = 0
-                cur = beta
-                while True:
-                    cur = _sub(cur, simple[i])
-                    if cur in roots:
-                        p += 1
-                    else:
-                        break
-                q = p - r
-                if q > 0:
-                    cand = _add(beta, simple[i])
-                    if cand not in roots:
-                        roots.add(cand)
-                        new.append(cand)
-        frontier = new
-    pos = sorted(roots, key=lambda v: (sum(v), v))
-    return RootSystem(
-        rank=rank,
-        cartan=cartan,
-        simple_roots=tuple(simple),
-        form=form,
-        d=d,
-        positive_roots=tuple(pos),
-        ambient="simple",
     )
 
 

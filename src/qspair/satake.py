@@ -136,17 +136,20 @@ def cascade(sd):
     """
     rs = sd.root_system
     keys = standard_order_type_a(sd.z_nu).check_regular(rs.positive_roots)
-    # (sort key, root, compact) of each root centralizing every H_{gamma_i}
-    central = [(k, r, sd.is_compact(r))
+    # (sort key, root, compact, support) of each root centralizing every
+    # H_{gamma_i}; two positive roots L_a - L_b pair to 0 exactly when their
+    # supports {a, b} are disjoint
+    central = [(k, r, sd.is_compact(r),
+                frozenset(i for i, c in enumerate(r) if c))
                for k, r in zip(keys, rs.positive_roots)]
     gammas = []
-    while central and not all(compact for _, _, compact in central):
-        _, gamma, compact = max(central, key=lambda entry: entry[0])
+    while central and not all(entry[2] for entry in central):
+        _, gamma, compact, support = max(central, key=lambda entry: entry[0])
         if compact:
             raise StructuralError("cascade selected a compact root")
         gammas.append(gamma)
         central = [entry for entry in central
-                   if pairing(rs, entry[1], gamma) == 0]
+                   if support.isdisjoint(entry[3])]
     # strong orthogonality: gamma_i +- gamma_j is never a root
     all_roots = set(rs.positive_roots) | {
         tuple(-x for x in r) for r in rs.positive_roots

@@ -11,6 +11,7 @@ from qspair.cohoch import (
     _content,
     _eliminate,
     _madd,
+    _splits,
     _subtract,
     build_complex,
     cocycle_is_coboundary,
@@ -188,6 +189,48 @@ def test_sl3_cartan_invariant_matches_hkr_at_default_bounds():
                            invariant=True)
     assert dims == {(n, w): hkr_sl3_cartan(n, w)
                     for n in range(4) for w in range(5)}
+
+
+def test_sl3_cartan_invariant_matches_hkr_at_4_4():
+    dims = cohomology_dims(build_complex(sl3_data("cartan"), 4, 4),
+                           invariant=True)
+    assert dims == {(n, w): hkr_sl3_cartan(n, w)
+                    for n in range(5) for w in range(5)}
+
+
+def per_content_count(cc, n, w, invariant, per_block):
+    """Sum of per_block(n, content) over every content of weight w, each
+    with the sign of the shift its torus weight equals: how the tables were
+    counted before they ran over orbits."""
+    total = 0
+    for content in monomials(cc.lie.dim, w):
+        sign = 1
+        if invariant:
+            weight = cc.lie.weight(content)
+            sign = sum(s for s, shift in cc.lie.shifts if shift == weight)
+        if sign:
+            total += sign * per_block(n, content)
+    return total
+
+
+@pytest.mark.parametrize("lie", [sl2_data("zero"), sl2_data("cartan"),
+                                 sl3_data("zero"), sl3_data("cartan"),
+                                 sl3_data("so3")],
+                         ids=["sl2-zero", "sl2-cartan", "sl3-zero",
+                              "sl3-cartan", "sl3-so3"])
+def test_orbit_counts_match_the_per_content_sum(lie):
+    cc = build_complex(lie, 3, 4)
+    for invariant in (False, True):
+        for n in range(4):
+            for w in range(5):
+                assert cc.dim(n, w, invariant) == per_content_count(
+                    cc, n, w, invariant, cc.block_size), (invariant, n, w)
+                assert cc.rank(n, w, invariant) == per_content_count(
+                    cc, n, w, invariant, cc.block_rank), (invariant, n, w)
+    assert cc._splits_cache
+    for m, splits in cc._splits_cache.items():
+        assert splits == tuple(_splits(m))
+        assert cc._splits(m) is splits
 
 
 @pytest.mark.parametrize("sub", ["zero", "cartan"])

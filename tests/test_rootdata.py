@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from qspair.errors import ParameterError, ShapeError
 from qspair import rootdata
 from qspair.rootdata import (
-    build_from_cartan,
     build_type_a,
     coroot,
     pairing,
@@ -87,19 +87,82 @@ def _det(m):
     return total
 
 
+def _symmetrizer(cartan):
+    """Positive rationals d with d_i a_{ij} = d_j a_{ji}, minimum entry 1."""
+    rank = len(cartan)
+    d = [None] * rank
+    for start in range(rank):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(rank):
+                if cartan[i][j] != 0 and i != j and d[j] is None:
+                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                    stack.append(j)
+    lo = min(d)
+    return tuple(x / lo for x in d)
+
+
+def build_from_cartan(cartan):
+    """Root system of a finite-type Cartan matrix in simple-root coordinates:
+    the Gram matrix (alpha_i, alpha_j) = d_i a_ij, short roots of square
+    length 2, and the positive roots generated height by height from root
+    strings.  An independent construction to cross-check type A against."""
+    rank = len(cartan)
+    d = _symmetrizer(cartan)
+    form = tuple(tuple(d[i] * cartan[i][j] for j in range(rank))
+                 for i in range(rank))
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(rank):
+                # q - p = -<beta, alpha_i^vee>; beta + alpha_i is a root iff q > 0
+                r = sum(beta[j] * cartan[i][j] for j in range(rank))
+                p, cur = 0, beta
+                while True:
+                    cur = tuple(x - y for x, y in zip(cur, simple[i]))
+                    if cur not in roots:
+                        break
+                    p += 1
+                cand = tuple(x + y for x, y in zip(beta, simple[i]))
+                if p - r > 0 and cand not in roots:
+                    roots.add(cand)
+                    new.append(cand)
+        frontier = new
+    return SimpleNamespace(form=form, simple_roots=tuple(simple),
+                           positive_roots=tuple(sorted(roots)))
+
+
 def test_generic_cartan_matches_type_a():
-    rs = build_type_a(4)
-    gen = build_from_cartan(rs.cartan)
-    assert len(gen.positive_roots) == len(rs.positive_roots)
-    for a in gen.simple_roots:
-        assert pairing(gen, a, a) == 2
+    # a root sum c_i alpha_i in simple-root coordinates is sum c_i
+    # (L_i - L_{i+1}) in L coordinates; both realizations give the same roots
+    # and the same form
+    for N in range(2, 6):
+        rs = build_type_a(N)
+        gen = build_from_cartan(rs.cartan)
+
+        def to_l(c):
+            return tuple(sum(ci * a[k] for ci, a in zip(c, rs.simple_roots))
+                         for k in range(N))
+
+        assert {to_l(r) for r in gen.positive_roots} == set(rs.positive_roots)
+        for a in gen.positive_roots:
+            for b in gen.positive_roots:
+                assert _gram_pairing(gen, a, b) == pairing(rs, to_l(a),
+                                                           to_l(b))
 
 
 def test_generic_cartan_b2():
     # B2: roots of two lengths; short roots have square length 2
     b2 = build_from_cartan([[2, -2], [-1, 2]])
     assert len(b2.positive_roots) == 4
-    lengths = sorted(set(pairing(b2, r, r) for r in b2.positive_roots))
+    lengths = sorted(set(_gram_pairing(b2, r, r) for r in b2.positive_roots))
     assert lengths == [2, 4]
 
 

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qspair.errors import DomainError, ParameterError
-from qspair.rootdata import build_type_a
+from qspair.rootdata import build_type_a, pairing, standard_order_type_a
 from qspair.satake import (
     build_aiii,
     dim_m,
@@ -12,6 +13,7 @@ from qspair.satake import (
     partition_roots,
     restricted_half_root,
     _apply_matrix,
+    cascade,
     theta_weight,
 )
 
@@ -259,3 +261,29 @@ def test_longest_element_wx_reverses_the_black_block(N):
         for j in range(p + 1, N - p):
             image = _apply_matrix(w, rs.simple_roots[j - 1])
             assert tuple(-x for x in image) in positive
+
+
+def _pairing_cascade(sd):
+    """The cascade with its central roots filtered by pairing(rs, root,
+    gamma) == 0, as it was before the filter compared root supports."""
+    rs = sd.root_system
+    keys = standard_order_type_a(sd.z_nu).check_regular(rs.positive_roots)
+    central = [(k, r, sd.is_compact(r))
+               for k, r in zip(keys, rs.positive_roots)]
+    gammas = []
+    while central and not all(compact for _, _, compact in central):
+        _, gamma, compact = max(central, key=lambda entry: entry[0])
+        assert not compact
+        gammas.append(gamma)
+        central = [entry for entry in central
+                   if pairing(rs, entry[1], gamma) == 0]
+    return tuple(gammas)
+
+
+@pytest.mark.parametrize("N", range(2, 15))
+def test_support_filter_matches_the_pairing_filter(N):
+    for p in range(1, N // 2 + 1):
+        sd = build_aiii(N, p)
+        oracle = _pairing_cascade(sd)
+        assert cascade(sd) == sd.cascade == oracle
+        assert repr(sd) == repr(replace(sd, cascade=oracle))
