@@ -7,9 +7,9 @@ of Gamma_n with the fixed parenthesization ((V (x) W) (x) W) (x) W:
     sigma_1 -> Psi^{-1}_{0,1,2} (Sigma R)_{1,2} Psi_{0,1,2}
     sigma_2 -> Psi^{-1}_{01,2,3} (Sigma R)_{2,3} Psi_{01,2,3}
 
-The grouped-leg associators are recomputed with tensor-product
-representations on the merged legs, so families are passed as callables on
-representation triples.  n <= 3 keeps the dimensions at desk scale.
+The grouped-leg associators are recomputed with a merged leg of two
+fundamentals, so families are passed as callables on the groupings of
+GROUPINGS.  n <= 3 keeps the dimensions at desk scale.
 
 The Kohno-Drinfeld check builds the coideal-side representation from the
 Balagovic-Kolb braid R_21 (1 (x) K) R (with the strict Psi = Phi = 1, since
@@ -28,7 +28,7 @@ from scipy import sparse
 from . import blocks
 from .errors import ComparisonError, ParameterError, ShapeError
 from .kzmono import psi_kz, r_kz, ribbon_kz
-from .sln import embed_on_legs, fundamental_rep, realize, tensor_rep
+from .sln import Representation, embed_on_legs, fundamental_rep, realize
 from .uqsl import (
     make_params,
     r_matrix,
@@ -37,6 +37,9 @@ from .uqsl import (
 )
 
 INVERTIBLE_COND_LIMIT = 1e12
+
+# fundamental legs in each slot of the associator of a grouping
+GROUPINGS = {"0,1,2": (1, 1, 1), "01,2,3": (2, 1, 1)}
 
 
 @dataclass
@@ -187,8 +190,8 @@ def q_side_rep(N, p, t, h, n):
     E = scal ** 2 * (R21 @ K2 @ R)
 
     def psi_one(grouping):
-        d = N ** (len(grouping.split(",")) + (1 if "01" in grouping else 0))
-        return sparse.eye_array(d, dtype=complex, format="csr")
+        return sparse.eye_array(N ** sum(GROUPINGS[grouping]), dtype=complex,
+                                format="csr")
 
     rep = build_rep(E, scal * R, psi_one, n, (N, N))
     return rep, kr
@@ -200,13 +203,10 @@ def kz_side_rep(N, p, s, mu, g, h, n, tol=1e-12):
     f = fundamental_rep(N)
     E = ribbon_kz(pr, (f, f), s, mu, h=h, central_g=g, variant="plain")
     R = r_kz(pr, (f, f), h)
-    groupings = {
-        "0,1,2": (f, f, f),
-        "01,2,3": (tensor_rep(f, f), f, f),
-    }
 
     def psi_fam(grouping):
-        return psi_kz(pr, groupings[grouping], s, mu, h=h, tol=tol)
+        reps = tuple(Representation(N, c) for c in GROUPINGS[grouping])
+        return psi_kz(pr, reps, s, mu, h=h, tol=tol)
 
     return build_rep(E, R, psi_fam, n, (N, N))
 

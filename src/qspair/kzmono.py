@@ -367,11 +367,6 @@ def first_order_oracle_s_derivative(pr, reps, s):
 # ---------------------------------------------------------------------------
 # identity residuals
 
-def sigma_conjugator(pr, rep):
-    """Matrix of exp(pi Z_nu) in the representation; Ad of it is sigma."""
-    return expm(rep.rho(np.pi * pr.Znu))
-
-
 def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
                        central_g=1.0):
     """Residual norms of the structural identities for the KZ data.
@@ -381,8 +376,7 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     identities are checked for the sigma-braid E = ribbon_kz(..., "sigma")
     with beta = sigma = Ad exp(pi Z).
     """
-    rep0, repW = reps
-    f = repW
+    rep0, f = reps
     tf = tensor_rep(rep0, f)    # merged (0,1)
     ff = tensor_rep(f, f)       # merged pair of G-legs
 
@@ -392,7 +386,6 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     psi_012 = psi_kz(pr, (rep0, f, f), s, mu, **kw).toarray()
     phi = phi_kz(pr, (f, f, f), h, tol=tol, max_order=max_order).toarray()
     dims4 = (rep0.dim, f.dim, f.dim, f.dim)
-    d4 = int(np.prod(dims4))
 
     psi_0_12_3 = psi_kz(pr, (rep0, ff, f), s, mu, **kw).toarray()  # V,(WW),W
     psi_0_1_23 = psi_kz(pr, (rep0, f, ff), s, mu, **kw).toarray()
@@ -419,12 +412,12 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     psi_021 = on3(psi, (0, 2, 1))
     E_02 = on3(E, (0, 2))
     E_01 = on3(E, (0, 1))
-    u = sigma_conjugator(pr, f)
+    u = expm(f.rho(np.pi * pr.Znu))      # Ad u is sigma
     ui = np.linalg.inv(u)
     C2 = on3(u, (2,))
     C2i = on3(ui, (2,))
-    C12 = on3(np.kron(u, u), (1, 2))
-    C12i = on3(np.kron(ui, ui), (1, 2))
+    C12 = on3(u, (1,)) @ C2
+    C12i = on3(ui, (1,)) @ C2i
 
     beta2 = lambda M: C2 @ M @ C2i
     inner = beta2(np.linalg.solve(psi_021, R_12 @ psi))
@@ -457,7 +450,7 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
     # --- k-invariance of Psi (the alpha = Delta intertwiner identity)
     worst = 0.0
     for X in k_basis(pr):
-        D = sum(on3(r.rho(X), (i,)) for i, r in enumerate((rep0, f, f)))
+        D = tensor_rep(tf, f).rho(X)      # X on all three legs
         worst = max(worst, float(np.linalg.norm(psi @ D - D @ psi)))
     psi_intertwiner = worst / np.linalg.norm(psi)
 

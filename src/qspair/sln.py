@@ -3,14 +3,16 @@
 Builds the matrix ingredients every other module consumes: Z_nu, the spectral
 projectors of ad Z_nu, the split invariant tensors t^u = t^k + t^{m+} + t^{m-},
 Casimirs, the classical r-matrix, interpolated Cayley transforms with their
-residual checks, the Omega-pairing, and a representation-aware builder that
-places these elements on arbitrary legs of a tensor product.
+residual checks, the Omega-pairing, and a builder that places these elements
+on arbitrary legs of a tensor product.  Every module is a tensor power of the
+fundamental, so every placement is one of fundamental-leg operators.
 
 Conventions: the invariant form is (X, Y)_g = Tr(XY); root vectors are
 X_alpha = e_{ab} for alpha = L_a - L_b with a < b, so [X_alpha, X_alpha^*]
 equals H_alpha on the nose and no structure-constant phases appear.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,44 +32,36 @@ ODD_PHI_TOL = 1e-12     # distance below which phi counts as in 1 + 2Z
 
 @dataclass(frozen=True)
 class Representation:
-    """A Lie algebra representation given by a matrix-valued map on sl_N."""
+    """The sl_N-module V^{(x) legs}, V the fundamental: the fundamental has
+    one leg, the trivial module none, a merged leg one per fundamental."""
 
-    dim: int
-    rho: object          # callable: (N x N traceless ndarray) -> (dim x dim)
-    name: str = "rep"
+    N: int
+    legs: int
 
-    def __call__(self, X):
-        return self.rho(X)
+    @property
+    def dim(self):
+        return self.N ** self.legs
 
-    def check_homomorphism(self, basis, tol=1e-12):
-        worst = 0.0
-        for A in basis:
-            for B in basis:
-                lhs = self.rho(A @ B - B @ A)
-                rhs = self.rho(A) @ self.rho(B) - self.rho(B) @ self.rho(A)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+    def rho(self, X):
+        """X (N x N) acting on each leg, X (x) 1 + ... + 1 (x) X, dense."""
+        return _place([(X, (leg,)) for leg in range(self.legs)],
+                      (self.N,) * self.legs).toarray()
 
 
 def fundamental_rep(N):
-    return Representation(dim=N, rho=lambda X: np.asarray(X, dtype=complex),
-                          name=f"fund({N})")
+    return Representation(N, 1)
 
 
 def trivial_rep():
-    return Representation(dim=1, rho=lambda X: np.zeros((1, 1), dtype=complex),
-                          name="trivial")
+    """No legs, so N plays no part; tensor_rep takes N from the other side."""
+    return Representation(1, 0)
 
 
 def tensor_rep(a, b):
-    """X acts as X (x) 1 + 1 (x) X; used for merged legs."""
-    da, db = a.dim, b.dim
-    ia, ib = np.eye(da), np.eye(db)
-
-    def rho(X):
-        return np.kron(a.rho(X), ib) + np.kron(ia, b.rho(X))
-
-    return Representation(dim=da * db, rho=rho, name=f"({a.name})*({b.name})")
+    """a (x) b as one merged leg: the legs of a, then those of b."""
+    if a.legs and b.legs and a.N != b.N:
+        raise ShapeError(f"cannot merge sl_{a.N}- and sl_{b.N}-modules")
+    return Representation(a.N if a.legs else b.N, a.legs + b.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +163,16 @@ def realize(N, p):
     return pr
 
 
-def casimir_matrix(pr, rep, which="k"):
-    """rho(C) = sum_a rho(A_a) rho(B_a) for the chosen split tensor."""
-    pairs = {"k": pr.t_k, "u": pr.t_u}[which]
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for A, B in pairs:
-        out += rep.rho(A) @ rep.rho(B)
-    return out
+def casimir_matrix(pr, which="k"):
+    """C = sum_a A_a B_a on the fundamental for the chosen split tensor."""
+    return sum(A @ B for A, B in {"k": pr.t_k, "u": pr.t_u}[which])
 
 
-_SYMBOL_ARITY = {
-    "t_u": 2, "t_k": 2, "t_mplus": 2, "t_mminus": 2, "r": 2,
-    "casimir_k": 1, "casimir_u": 1, "Z": 1,
+# arity and split tensor (a PairRealization field) of each symbol
+_SYMBOLS = {
+    "t_u": (2, "t_u"), "t_k": (2, "t_k"), "t_mplus": (2, "t_mplus"),
+    "t_mminus": (2, "t_mminus"), "r": (2, "r"),
+    "casimir_k": (1, "t_k"), "casimir_u": (1, "t_u"), "Z": (1, None),
 }
 
 
@@ -221,39 +213,51 @@ def embed_on_legs(T, dims, legs):
     return sparse.csr_array((v[pos], indices, indptr), shape=(total, total))
 
 
-def build_leg_tensor(pr, symbol, reps, legs):
-    """Materialize a named element on the given legs of prod_i V_{reps[i]}.
+def _place(terms, dims):
+    """The sum of T put on legs by embed_on_legs over the (T, legs) terms,
+    and the zero operator when there are none."""
+    parts = [embed_on_legs(T, dims, legs) for T, legs in terms]
+    if not parts:
+        return sparse.csr_array((math.prod(dims),) * 2, dtype=complex)
+    return sum(parts[1:], parts[0])
 
-    Two-leg symbols are sum_a rho_i(A_a) (x) rho_j(B_a) on legs (i, j),
-    one-leg symbols the corresponding matrix on one leg; the factor is built
-    on its own legs and embedded with the identity elsewhere, as a CSR
-    matrix.
+
+def build_leg_tensor(pr, symbol, reps, legs):
+    """A named element on the given slots of prod_i reps[i], as a CSR matrix
+    on their fundamental legs.  A two-leg symbol sum_a A_a (x) B_a is its
+    N^2 x N^2 pair factor on each pair of legs, one per slot; Z is Z_nu on
+    each leg of its slot; a Casimir is the one-leg Casimir on each leg of its
+    slot plus the pair factor on each ordered pair of its legs.  A slot with
+    no legs gives the zero operator, the counit.
     """
-    if symbol not in _SYMBOL_ARITY:
+    if symbol not in _SYMBOLS:
         raise ParameterError(f"unknown symbol {symbol!r}")
-    arity = _SYMBOL_ARITY[symbol]
+    arity, field = _SYMBOLS[symbol]
     if len(legs) != arity:
         raise ShapeError(f"symbol {symbol!r} needs {arity} legs, got {len(legs)}")
-    dims = tuple(r.dim for r in reps)
     for leg in legs:
         if not 0 <= leg < len(reps):
             raise ShapeError(f"leg {leg} out of range for {len(reps)} spaces")
-    if arity == 2:
-        i, j = legs
-        if i == j:
-            raise ShapeError("two-leg symbol needs distinct legs")
-        pairs = {
-            "t_u": pr.t_u, "t_k": pr.t_k,
-            "t_mplus": pr.t_mplus, "t_mminus": pr.t_mminus, "r": pr.r,
-        }[symbol]
-        factor = sum(np.kron(reps[i].rho(A), reps[j].rho(B))
-                     for A, B in pairs)
-    elif symbol == "Z":
-        factor = reps[legs[0]].rho(pr.Znu)
-    else:
-        which = "k" if symbol == "casimir_k" else "u"
-        factor = casimir_matrix(pr, reps[legs[0]], which)
-    return embed_on_legs(factor, dims, legs)
+        if reps[leg].legs and reps[leg].N != pr.N:
+            raise ShapeError(f"sl_{reps[leg].N}-module on leg {leg}, not sl_{pr.N}")
+    if arity == 2 and legs[0] == legs[1]:
+        raise ShapeError("two-leg symbol needs distinct legs")
+    ends = list(itertools.accumulate(r.legs for r in reps))
+    slots = [range(ends[k] - reps[k].legs, ends[k]) for k in legs]
+    N, dims = pr.N, (pr.N,) * ends[-1]
+    each = itertools.product(*slots)        # one leg in each slot
+    if symbol == "Z":
+        return _place([(pr.Znu, p) for p in each], dims)
+    terms = []
+    if arity == 1:      # a Casimir: C on each leg, then t on its leg pairs
+        terms = [(casimir_matrix(pr, symbol[-1]), p) for p in each]
+        each = itertools.permutations(slots[0], 2)
+    pairs = list(each)
+    if pairs:
+        factor = sum(np.multiply.outer(A, B).swapaxes(1, 2).reshape(N * N, N * N)
+                     for A, B in getattr(pr, field))
+        terms += [(factor, p) for p in pairs]
+    return _place(terms, dims)
 
 
 # ---------------------------------------------------------------------------

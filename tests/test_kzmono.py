@@ -3,7 +3,12 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from qspair.errors import ParameterError, ResonanceError, TruncationError
+from qspair.errors import (
+    ParameterError,
+    ResonanceError,
+    ShapeError,
+    TruncationError,
+)
 from qspair.kzmono import (
     EIG_COND_LIMIT,
     RESONANCE_CHUNK,
@@ -428,6 +433,12 @@ def test_psi_rejects_large_h(pr2):
     for h in (0.11, -0.11, 0.5):
         with pytest.raises(ParameterError, match="exceeds max_h = 0.1"):
             psi_kz(pr2, (F2, F2, F2), 0.0, 0.0, h=h)
+
+
+def test_psi_rejects_modules_of_another_rank(pr2):
+    f3 = fundamental_rep(3)
+    with pytest.raises(ShapeError):
+        psi_kz(pr2, (f3, f3, f3), 0.0)
 
 
 def test_psi_resonant_s_rejected(pr2):

@@ -8,6 +8,7 @@ from scipy import sparse
 from qspair.errors import DomainError, ParameterError, ShapeError
 from qspair import sln
 from qspair.sln import (
+    Representation,
     a_antidiag,
     build_leg_tensor,
     cayley,
@@ -339,22 +340,90 @@ def test_leg_tensor_shape_errors():
         build_leg_tensor(pr, "nope", (f, f), (0, 1))
 
 
+def check_homomorphism(rep, basis):
+    worst = 0.0
+    for A in basis:
+        for B in basis:
+            lhs = rep.rho(A @ B - B @ A)
+            rhs = rep.rho(A) @ rep.rho(B) - rep.rho(B) @ rep.rho(A)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _kron_rho(rep, X):
+    """X on a tensor power of the fundamental by Kronecker sums: the merged
+    leg a (x) V acts as rho_a(X) (x) 1 + 1 (x) X."""
+    if rep.legs == 0:
+        return np.zeros((1, 1), dtype=complex)
+    a = Representation(rep.N, rep.legs - 1)
+    return (np.kron(_kron_rho(a, X), np.eye(rep.N))
+            + np.kron(np.eye(a.dim), np.asarray(X, dtype=complex)))
+
+
+def _kron_leg_tensor(pr, symbol, reps, legs):
+    """build_leg_tensor from dense Kronecker products: a two-leg symbol is
+    sum_a rho_i(A_a) (x) rho_j(B_a) on its slots, a Casimir
+    sum_a rho(A_a) rho(B_a), placed by the np.kron reference."""
+    dims = tuple(r.dim for r in reps)
+    if symbol == "Z":
+        factor = _kron_rho(reps[legs[0]], pr.Znu)
+    elif symbol in ("casimir_k", "casimir_u"):
+        r = reps[legs[0]]
+        pairs = {"casimir_k": pr.t_k, "casimir_u": pr.t_u}[symbol]
+        factor = sum(_kron_rho(r, A) @ _kron_rho(r, B) for A, B in pairs)
+    else:
+        i, j = legs
+        factor = sum(np.kron(_kron_rho(reps[i], A), _kron_rho(reps[j], B))
+                     for A, B in getattr(pr, symbol))
+    return _kron_reference(factor, dims, legs)
+
+
 def test_tensor_rep_is_homomorphism():
     pr = realize(2, 1)
     f = fundamental_rep(2)
     tf = tensor_rep(f, f)
-    assert tf.check_homomorphism(pr.basis_g) < 1e-12
-    assert trivial_rep().check_homomorphism(pr.basis_g) == 0.0
+    assert check_homomorphism(tf, pr.basis_g) < 1e-12
+    assert check_homomorphism(trivial_rep(), pr.basis_g) == 0.0
+    for rep in (trivial_rep(), f, tf, tensor_rep(tf, f)):
+        for X in pr.basis_g:
+            assert np.array_equal(rep.rho(X), _kron_rho(rep, X))
 
 
-def test_merged_leg_matches_split_sum():
-    # t_k on a merged leg equals t_k_{02} + t_k_{12} on the split legs
-    pr = realize(2, 1)
-    f = fundamental_rep(2)
-    merged = build_leg_tensor(pr, "t_k", (tensor_rep(f, f), f), (0, 1))
-    split = (build_leg_tensor(pr, "t_k", (f, f, f), (0, 2))
-             + build_leg_tensor(pr, "t_k", (f, f, f), (1, 2)))
-    assert np.max(np.abs(merged - split)) < 1e-12
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("grouping",
+                         [(2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 0, 1), (0, 1, 1)])
+def test_merged_leg_matches_split_sum(N, grouping):
+    # the placed fundamental factors against the Kronecker sums over the
+    # merged legs: bit-identical on unmerged slots, equal to roundoff on
+    # merged ones with the same sparsity pattern
+    pr = realize(N, N // 2)
+    f = fundamental_rep(N)
+    pick = {0: trivial_rep(), 1: f, 2: tensor_rep(f, f)}
+    reps = tuple(pick[c] for c in grouping)
+    for symbol, (arity, _) in sln._SYMBOLS.items():
+        for legs in itertools.permutations(range(3), arity):
+            got = build_leg_tensor(pr, symbol, reps, legs).toarray()
+            want = _kron_leg_tensor(pr, symbol, reps, legs)
+            if all(grouping[k] < 2 for k in legs):
+                assert np.array_equal(got, want), (symbol, legs)
+            else:
+                assert np.array_equal(got != 0, want != 0), (symbol, legs)
+                assert np.max(np.abs(got - want)) <= 1e-14, (symbol, legs)
+
+
+def test_leg_tensor_rejects_other_rank():
+    f3 = fundamental_rep(3)
+    with pytest.raises(ShapeError):
+        build_leg_tensor(realize(2, 1), "t_u", (f3, f3), (0, 1))
+    # a slot with no legs is the counit of any rank
+    lt = build_leg_tensor(realize(3, 1), "Z", (f3, trivial_rep()), (1,))
+    assert lt.shape == (3, 3) and lt.nnz == 0
+
+
+def test_tensor_rep_rejects_other_rank():
+    with pytest.raises(ShapeError):
+        tensor_rep(fundamental_rep(2), fundamental_rep(3))
+    assert tensor_rep(trivial_rep(), fundamental_rep(3)) == fundamental_rep(3)
 
 
 def test_realize_bad_params():

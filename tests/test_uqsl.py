@@ -15,7 +15,6 @@ from qspair.satake import cascade, normalization_constants, restricted_half_root
 from qspair.sln import (
     _eij,
     casimir_matrix,
-    fundamental_rep,
     realize,
 )
 from qspair.uqsl import (
@@ -366,7 +365,7 @@ def test_r_matrix_equals_kronecker_sum(N):
 @pytest.mark.parametrize("N", range(2, 11))
 def test_kz_side_eigenvalues_equal_casimir_diagonal(N):
     for p in range(1, N // 2 + 1):
-        ck = casimir_matrix(realize(N, p), fundamental_rep(N), "k")
+        ck = casimir_matrix(realize(N, p), "k")
         c_plus, c_minus, _, _ = kz_side_eigenvalue_data(N, p, 0.1)
         assert c_plus == ck[0, 0].real
         assert c_minus == ck[N - 1, N - 1].real
