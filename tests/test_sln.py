@@ -389,10 +389,20 @@ def test_tensor_rep_is_homomorphism():
             assert np.array_equal(rep.rho(X), _kron_rho(rep, X))
 
 
+def test_merged_leg_matches_split_sum():
+    # t_k on a merged leg equals t_k_{02} + t_k_{12} on the split legs
+    pr = realize(2, 1)
+    f = fundamental_rep(2)
+    merged = build_leg_tensor(pr, "t_k", (tensor_rep(f, f), f), (0, 1))
+    split = (build_leg_tensor(pr, "t_k", (f, f, f), (0, 2))
+             + build_leg_tensor(pr, "t_k", (f, f, f), (1, 2)))
+    assert np.max(np.abs(merged - split)) < 1e-12
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 @pytest.mark.parametrize("grouping",
                          [(2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 0, 1), (0, 1, 1)])
-def test_merged_leg_matches_split_sum(N, grouping):
+def test_merged_leg_matches_kron_oracle(N, grouping):
     # the placed fundamental factors against the Kronecker sums over the
     # merged legs: bit-identical on unmerged slots, equal to roundoff on
     # merged ones with the same sparsity pattern
