@@ -19,15 +19,20 @@ torus weights of the blocks.  Both sums run over the orbits of the contents
 under the letter permutations that keep the h letters among themselves,
 each orbit counted with its signed multiplicity.
 
-Everything is exact: the differential has integer entries and the
-elimination works over Fractions.  Rank is discontinuous, so floats never
+Everything is exact: the differential has integer entries, and the one
+elimination takes ranks fraction-free over Z, with each column's pivots
+found by row key.  Fraction appears only in the structure constants and in
+the kernels they are read from.  Rank is discontinuous, so floats never
 enter.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from math import comb, gcd, lcm
+from numbers import Rational
 
 from .errors import DomainError, ParameterError
 
@@ -46,34 +51,77 @@ def _subtract(vec, c, other):
 
 
 def _eliminate(cols, record=False):
-    """Sparse column-by-column elimination over Q.
+    """Sparse column-by-column elimination over Q, run fraction-free over Z.
 
-    Each column (a dict rowkey -> int or Fraction) is reduced against the
-    pivots of the columns before it; what remains becomes a new pivot,
-    normalized at its first row key.  Returns the rank and, with record, the
-    kernel: for each column j that reduces to zero, the vanishing combination
-    of input columns as a dict index -> Fraction (1 at j, the rest at earlier
-    pivot columns).  Without record the kernel is empty.
+    Each column (a dict rowkey -> int or Fraction) is scaled by the lcm of
+    its denominators and reduced against the pivots of the columns before
+    it: against a pivot with lead p where the column holds c, col becomes
+    (p/g) col - (c/g) pivot for g = gcd(p, c).  What remains becomes a new
+    pivot at its first row key, divided by the gcd of its entries, so every
+    pivot is a primitive int vector with a positive lead.  Each pivot is zero
+    at the row keys of the pivots before it, so a column meets only the
+    pivots whose row keys it holds or a subtraction brings in: they are
+    found by row key and taken from a heap in pivot order.
+
+    Returns the rank and, with record, the kernel: for each column j that
+    reduces to zero, the vanishing combination of input columns as a dict
+    index -> Fraction (1 at j, the rest at earlier pivot columns; it is
+    unique, since the pivot columns are independent).  Without record the
+    kernel is empty.
     """
-    pivots = []  # (rowkey, normalized column, its combination of inputs)
+    pivots = []  # (rowkey, primitive int column, its combination of inputs)
+    where = {}   # rowkey -> index of the pivot led there
     kernel = {}
     for j, col in enumerate(cols):
-        col = {k: v for k, v in col.items() if v}
-        combo = {j: Fraction(1)} if record else None
-        for rowkey, pcol, pcombo in pivots:
+        den = reduce(lcm, (v.denominator for v in col.values()), 1)
+        col = {k: v.numerator * (den // v.denominator)
+               for k, v in col.items() if v}
+        combo = {j: den} if record else None
+        heap = [where[k] for k in col if k in where]
+        heapify(heap)
+        while heap:
+            rowkey, pcol, pcombo = pivots[heappop(heap)]
             c = col.get(rowkey)
-            if c:
-                _subtract(col, c, pcol)
-                if record:
-                    _subtract(combo, c, pcombo)
+            if not c:
+                continue
+            p = pcol[rowkey]
+            g = gcd(p, c)
+            a, b = p // g, c // g
+            if a != 1:
+                for k in col:
+                    col[k] *= a
+            for k, v in pcol.items():
+                old = col.get(k)
+                if old is None:
+                    col[k] = -b * v
+                    if k in where:
+                        heappush(heap, where[k])
+                elif old == b * v:
+                    del col[k]
+                else:
+                    col[k] = old - b * v
+            if record:
+                if a != 1:
+                    for k in combo:
+                        combo[k] *= a
+                _subtract(combo, b, pcombo)
         if col:
             rowkey = next(iter(col))
-            inv = 1 / Fraction(col[rowkey])
-            pcombo = {k: v * inv for k, v in combo.items()} if record else None
-            pivots.append((rowkey, {k: v * inv for k, v in col.items()},
-                           pcombo))
+            g = reduce(gcd, col.values())
+            if record:
+                g = reduce(gcd, combo.values(), g)
+            if col[rowkey] < 0:
+                g = -g
+            if g != 1:
+                for k in col:
+                    col[k] //= g
+                if record:
+                    for k in combo:
+                        combo[k] //= g
+            where[rowkey] = len(pivots)
+            pivots.append((rowkey, col, combo))
         elif record:
-            kernel[j] = combo
+            kernel[j] = {i: Fraction(v, combo[j]) for i, v in combo.items()}
     return len(pivots), kernel
 
 
@@ -137,12 +185,17 @@ def _entries(m):
 def make_lie_data(matrices, dim_h, names=(), torus=(), shifts=None):
     """Structure constants from exact matrices; validates h is a subalgebra.
 
-    torus indexes the basis vectors of h that span the torus, which must act
-    diagonally on the basis; shifts defaults to the one shift (1, 0), whose
-    invariants are the weight-zero vectors.
+    The matrix entries must be exact rationals (int or Fraction); anything
+    else, a float included, raises ParameterError.  torus indexes the basis
+    vectors of h that span the torus, which must act diagonally on the
+    basis; shifts defaults to the one shift (1, 0), whose invariants are the
+    weight-zero vectors.
     """
-    mats = [tuple(tuple(Fraction(x) for x in row) for row in m)
-            for m in matrices]
+    mats = [tuple(tuple(row) for row in m) for m in matrices]
+    for x in (x for m in mats for row in m for x in row):
+        if not isinstance(x, Rational):
+            raise ParameterError(
+                f"Lie data entries must be exact rationals, got {x!r}")
     dim = len(mats)
     pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
     # expand every bracket in the basis by one elimination: the basis columns
@@ -168,22 +221,24 @@ def make_lie_data(matrices, dim_h, names=(), torus=(), shifts=None):
     acts = [[lie.ad(t, i) for t in torus] for i in range(dim)]
     if any(set(act) - {i} for i, row in enumerate(acts) for act in row):
         raise DomainError("the torus does not act diagonally on the basis")
-    lie.weights = tuple(tuple(act.get(i, 0) for act in row)
+    lie.weights = tuple(tuple(_exact(act.get(i, 0)) for act in row)
                         for i, row in enumerate(acts))
     return lie
 
 
+def _exact(x):
+    """x as an int when it is one, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _E(n, i, j):
-    return tuple(
-        tuple(Fraction(1) if (a, b) == (i, j) else Fraction(0)
-              for b in range(n))
-        for a in range(n)
-    )
+    return tuple(tuple(int((a, b) == (i, j)) for b in range(n))
+                 for a in range(n))
 
 
 def _madd(*terms):
     n = len(terms[0][1])
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for c, m in terms:
         for i in range(n):
             for j in range(n):
@@ -193,7 +248,7 @@ def _madd(*terms):
 
 def sl2_data(subalgebra="zero"):
     e, f = _E(2, 0, 1), _E(2, 1, 0)
-    hh = _madd((Fraction(1), _E(2, 0, 0)), (Fraction(-1), _E(2, 1, 1)))
+    hh = _madd((1, _E(2, 0, 0)), (-1, _E(2, 1, 1)))
     if subalgebra == "zero":
         return make_lie_data([e, hh, f], 0, names=("e", "h", "f"))
     if subalgebra == "cartan":
@@ -213,8 +268,8 @@ def sl3_data(subalgebra="zero"):
     invariant tables be counted from torus weights.
     """
     hs = [
-        _madd((Fraction(1), _E(3, 0, 0)), (Fraction(-1), _E(3, 1, 1))),
-        _madd((Fraction(1), _E(3, 1, 1)), (Fraction(-1), _E(3, 2, 2))),
+        _madd((1, _E(3, 0, 0)), (-1, _E(3, 1, 1))),
+        _madd((1, _E(3, 1, 1)), (-1, _E(3, 2, 2))),
     ]
     es = [_E(3, 0, 1), _E(3, 0, 2), _E(3, 1, 2)]
     fs = [_E(3, 1, 0), _E(3, 2, 0), _E(3, 2, 1)]
@@ -223,15 +278,13 @@ def sl3_data(subalgebra="zero"):
     if subalgebra == "cartan":
         return make_lie_data(hs + es + fs, 2, torus=(0, 1))
     if subalgebra == "so3":
-        one = Fraction(1)
         principal = [
-            _madd((one, _E(3, 0, 1)), (one, _E(3, 1, 2))),
-            _madd((one, _E(3, 0, 0)), (-one, _E(3, 2, 2))),
-            _madd((one, _E(3, 1, 0)), (one, _E(3, 2, 1))),
+            _madd((1, _E(3, 0, 1)), (1, _E(3, 1, 2))),
+            _madd((1, _E(3, 0, 0)), (-1, _E(3, 2, 2))),
+            _madd((1, _E(3, 1, 0)), (1, _E(3, 2, 1))),
         ]
         rest = [_E(3, 0, 2), _E(3, 0, 1), _E(3, 1, 0), _E(3, 2, 0),
-                _madd((one, _E(3, 0, 0)), (-2 * one, _E(3, 1, 1)),
-                      (one, _E(3, 2, 2)))]
+                _madd((1, _E(3, 0, 0)), (-2, _E(3, 1, 1)), (1, _E(3, 2, 2)))]
         return make_lie_data(principal + rest, 3, torus=(1,),
                              shifts=((1, (0,)), (-1, (1,))))
     raise ParameterError(f"sl3 supports zero|cartan|so3, got {subalgebra!r}")
@@ -436,20 +489,6 @@ def cohomology_dims(cc, invariant=False):
                      - cc.rank(n - 1, w, invariant))
             for w in range(cc.max_weight + 1)
             for n in range(cc.max_degree + 1)}
-
-
-def euler_characteristic_check(cc, w, invariant=False):
-    """Alternating sums of space and cohomology dims agree at weight w.
-
-    With the window truncated at top degree T the rank terms telescope to
-    chi(H) = chi(C) - (-1)^T rank d^T; returns True when the exact integers
-    satisfy this.
-    """
-    dims = cohomology_dims(cc, invariant=invariant)
-    top = cc.max_degree
-    chi_h = sum((-1) ** n * dims[(n, w)] for n in range(top + 1))
-    chi_c = sum((-1) ** n * cc.dim(n, w, invariant) for n in range(top + 1))
-    return chi_h == chi_c - (-1) ** top * cc.rank(top, w, invariant)
 
 
 def primitive_cocycle(cc, letters):

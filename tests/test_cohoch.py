@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -5,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qspair import cohoch
 from qspair.errors import DomainError, ParameterError
 from qspair.cohoch import (
     _E,
@@ -16,7 +18,6 @@ from qspair.cohoch import (
     build_complex,
     cocycle_is_coboundary,
     cohomology_dims,
-    euler_characteristic_check,
     make_lie_data,
     monomials,
     primitive_cocycle,
@@ -122,12 +123,18 @@ def test_sl3_full_low_degrees():
 
 
 def test_euler_characteristic():
-    cc = build_complex(sl2_data("zero"), 3, 4)
+    # In the window n <= T the cohomology's Euler characteristic is
+    # chi(C) - (-1)^T rank d^T; by HKR it is (-1)^w C(3, w) for w <= T and 0
+    # above.  Both sides come from the oracle basis and the oracle rank.
+    top = 3
+    cc = build_complex(sl2_data("zero"), top, 4)
     for w in range(5):
-        assert euler_characteristic_check(cc, w)
-    cci = build_complex(sl2_data("cartan"), 3, 3)
-    for w in range(4):
-        assert euler_characteristic_check(cci, w, invariant=True)
+        chi_c = sum((-1) ** n * len(oracle_basis(cc, n, w))
+                    for n in range(top + 1))
+        rank_top, _ = _eliminate_oracle(
+            [cc._column(elt) for elt in oracle_basis(cc, top, w)])
+        hkr = (-1) ** w * comb(3, w) if w <= top else 0
+        assert chi_c - (-1) ** top * rank_top == hkr, w
 
 
 def test_primitive_cocycle_class():
@@ -238,8 +245,8 @@ def test_blocked_rank_equals_unblocked_sl2(sub):
     cc = build_complex(sl2_data(sub), 3, 4)
     for n in range(4):
         for w in range(5):
-            assert cc.rank(n, w) == rank_of_columns(
-                [cc._column(elt) for elt in oracle_basis(cc, n, w)])
+            assert cc.rank(n, w) == _eliminate_oracle(
+                [cc._column(elt) for elt in oracle_basis(cc, n, w)])[0]
 
 
 @pytest.mark.parametrize("lie,d,w", [(sl2_data("cartan"), 3, 4),
@@ -369,8 +376,8 @@ def oracle_invariants(cc, n, w):
         shapes.setdefault(tuple(map(sum, elt)), []).append(elt)
     kernel = []
     for elts in shapes.values():
-        _, vanishing = _eliminate([_h_column(cc.lie, e) for e in elts],
-                                  record=True)
+        _, vanishing = _eliminate_oracle(
+            [_h_column(cc.lie, e) for e in elts], record=True)
         kernel += [{elts[i]: c for i, c in combo.items()}
                    for combo in vanishing.values()]
     return kernel
@@ -384,7 +391,7 @@ def oracle_invariant_rank(cc, n, w):
         for elt, coeff in vec.items():
             _subtract(acc, -coeff, cc._column(elt))
         images.append(acc)
-    return rank_of_columns(images)
+    return _eliminate_oracle(images)[0]
 
 
 def antisymmetric_so3(torus=()):
@@ -398,3 +405,116 @@ def antisymmetric_so3(torus=()):
     hs = [_madd((one, _E(3, i, i)), (-one, _E(3, i + 1, i + 1)))
           for i in range(2)]
     return make_lie_data(anti + sym + hs, 3, torus=torus)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle for the elimination: cohoch._eliminate as it was before it
+# ran fraction-free, a Fraction elimination that scans every earlier pivot.
+
+def _eliminate_oracle(cols, record=False):
+    """Sparse column-by-column elimination over Q.
+
+    Each column (a dict rowkey -> int or Fraction) is reduced against the
+    pivots of the columns before it; what remains becomes a new pivot,
+    normalized at its first row key.  Returns the rank and, with record, the
+    kernel: for each column j that reduces to zero, the vanishing combination
+    of input columns as a dict index -> Fraction (1 at j, the rest at earlier
+    pivot columns).  Without record the kernel is empty.
+    """
+    pivots = []  # (rowkey, normalized column, its combination of inputs)
+    kernel = {}
+    for j, col in enumerate(cols):
+        col = {k: v for k, v in col.items() if v}
+        combo = {j: Fraction(1)} if record else None
+        for rowkey, pcol, pcombo in pivots:
+            c = col.get(rowkey)
+            if c:
+                _subtract(col, c, pcol)
+                if record:
+                    _subtract(combo, c, pcombo)
+        if col:
+            rowkey = next(iter(col))
+            inv = 1 / Fraction(col[rowkey])
+            pcombo = {k: v * inv for k, v in combo.items()} if record else None
+            pivots.append((rowkey, {k: v * inv for k, v in col.items()},
+                           pcombo))
+        elif record:
+            kernel[j] = combo
+    return len(pivots), kernel
+
+
+def random_columns(rng):
+    """Sparse columns with int and Fraction entries over a few row keys:
+    some empty, some combinations of earlier columns, so that many sets are
+    rank-deficient."""
+    rows = rng.randint(1, 10)
+    cols = []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.random()
+        col = {}
+        if kind < 0.1:
+            pass
+        elif kind < 0.4 and cols:
+            for other in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
+                m = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+                for k, v in other.items():
+                    col[k] = col.get(k, 0) + m * v
+        else:
+            for _ in range(rng.randint(1, 5)):
+                col[rng.randrange(rows)] = rng.choice(
+                    [rng.randint(-6, 6),
+                     Fraction(rng.randint(-6, 6), rng.randint(1, 7))])
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eliminate_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        cols = random_columns(rng)
+        assert _eliminate(cols) == _eliminate_oracle(cols)
+        assert _eliminate(cols, record=True) == _eliminate_oracle(
+            cols, record=True)
+
+
+def test_eliminate_kernel_is_exact_over_q():
+    # 2 * (1/2, 1/3) - (1, 2/3) = 0, and 3 * col0 + col2 = 0 at key "b"
+    cols = [{"a": Fraction(1, 2), "b": Fraction(1, 3)},
+            {"a": 1, "b": Fraction(2, 3)},
+            {"a": Fraction(-3, 2), "b": -1}]
+    rank, kernel = _eliminate(cols, record=True)
+    assert rank == 1
+    assert kernel == {1: {1: 1, 0: -2}, 2: {2: 1, 0: 3}}
+    assert all(isinstance(v, Fraction) for c in kernel.values()
+               for v in c.values())
+
+
+@pytest.mark.parametrize("g,sub", [("sl2", "zero"), ("sl2", "cartan"),
+                                   ("sl3", "zero"), ("sl3", "cartan"),
+                                   ("sl3", "so3")])
+def test_make_lie_data_int_and_fraction_matrices_agree(monkeypatch, g, sub):
+    calls = []
+
+    def spy(matrices, *args, **kwargs):
+        calls.append((matrices, args, kwargs))
+        return make_lie_data(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(cohoch, "make_lie_data", spy)
+    lie = getattr(cohoch, f"{g}_data")(sub)
+    (matrices, args, kwargs), = calls
+    assert all(type(x) is int for m in matrices for row in m for x in row)
+    as_fractions = [[[Fraction(x) for x in row] for row in m]
+                    for m in matrices]
+    other = make_lie_data(as_fractions, *args, **kwargs)
+    assert lie.bracket == other.bracket
+    assert lie.weights == other.weights
+    assert all(type(x) is int for wt in lie.weights for x in wt)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+def test_make_lie_data_rejects_inexact_entries(bad):
+    e, f = _E(2, 0, 1), _E(2, 1, 0)
+    h = ((bad, 0), (0, -1))
+    with pytest.raises(ParameterError, match="exact rationals"):
+        make_lie_data([e, h, f], 0)
