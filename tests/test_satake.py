@@ -13,6 +13,7 @@ from qspair.satake import (
     partition_roots,
     restricted_half_root,
     _apply_matrix,
+    _is_root,
     cascade,
     theta_weight,
 )
@@ -280,10 +281,25 @@ def _pairing_cascade(sd):
     return tuple(gammas)
 
 
-@pytest.mark.parametrize("N", range(2, 15))
+@pytest.mark.parametrize("N", list(range(2, 15)) + [20, 25])
 def test_support_filter_matches_the_pairing_filter(N):
     for p in range(1, N // 2 + 1):
         sd = build_aiii(N, p)
         oracle = _pairing_cascade(sd)
         assert cascade(sd) == sd.cascade == oracle
         assert repr(sd) == repr(replace(sd, cascade=oracle))
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_sparse_root_test_matches_the_root_set(N):
+    # the strong-orthogonality check tests gamma_i +- gamma_j on their
+    # supports; against membership in the set of all roots
+    pos = build_type_a(N).positive_roots
+    roots = set(pos) | {tuple(-x for x in r) for r in pos}
+    for a in pos:
+        for b in pos:
+            for sign in (1, -1):
+                vec = tuple(x + sign * y for x, y in zip(a, b))
+                # zeros kept at the odd coordinates must not count
+                sparse = {i: x for i, x in enumerate(vec) if x or i % 2}
+                assert _is_root(sparse) == (vec in roots), (a, b, sign)

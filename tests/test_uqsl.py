@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qspair.errors import (
     StructuralError,
 )
 from qspair import satake
+from qspair.rootdata import pairing
 from qspair.satake import cascade, normalization_constants, restricted_half_root
 from qspair.sln import (
     _eij,
@@ -18,6 +20,8 @@ from qspair.sln import (
     realize,
 )
 from qspair.uqsl import (
+    _full_commutator_system,
+    _mudrov_support,
     _mudrov_system,
     _null_vector,
     closed_form_kmatrix,
@@ -25,7 +29,6 @@ from qspair.uqsl import (
     closed_form_s_plus_mu,
     coideal_generators,
     cross_route_scalar,
-    defining_relation_residual,
     fundamental,
     infer_s_mu_from_eigs,
     kz_side_eigenvalue_data,
@@ -45,6 +48,50 @@ Q = float(np.exp(0.1))
 
 def qp(expo):
     return Q ** float(expo)
+
+
+def defining_relation_residual(uq):
+    """Max residual of the U_q(sl_N) relations in the fundamental rep."""
+    N, q = uq.N, uq.q
+    worst = 0.0
+    for i in range(N - 1):
+        for j in range(N - 1):
+            comm = uq.E[i] @ uq.F[j] - uq.F[j] @ uq.E[i]
+            target = np.zeros((N, N), dtype=complex)
+            if i == j:
+                target = (uq.K[i] - np.linalg.inv(uq.K[i])) / (q - 1 / q)
+            worst = max(worst, float(np.max(np.abs(comm - target))))
+            # K E K^{-1} = q^{a_ij} E
+            a = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
+            lhs = uq.K[i] @ uq.E[j] @ np.linalg.inv(uq.K[i])
+            worst = max(worst, float(np.max(np.abs(lhs - q ** a * uq.E[j]))))
+            if i != j:
+                # quantum Serre at |i-j| = 1 (higher distances commute)
+                if abs(i - j) == 1:
+                    two = q + 1 / q
+                    serre_e = (uq.E[i] @ uq.E[i] @ uq.E[j]
+                               - two * uq.E[i] @ uq.E[j] @ uq.E[i]
+                               + uq.E[j] @ uq.E[i] @ uq.E[i])
+                    serre_f = (uq.F[i] @ uq.F[i] @ uq.F[j]
+                               - two * uq.F[i] @ uq.F[j] @ uq.F[i]
+                               + uq.F[j] @ uq.F[i] @ uq.F[i])
+                else:
+                    serre_e = uq.E[i] @ uq.E[j] - uq.E[j] @ uq.E[i]
+                    serre_f = uq.F[i] @ uq.F[j] - uq.F[j] @ uq.F[i]
+                worst = max(worst, float(np.max(np.abs(serre_e))))
+                worst = max(worst, float(np.max(np.abs(serre_f))))
+    return worst
+
+
+STANDARD_ATOL = 1e-14   # |s_p| or |c_p^(0) - 1| up to this: the standard point
+
+
+def is_standard(t):
+    """Whether t is the standard point s_p = 0 / c_p = q^{-1/2}."""
+    if t.tag == "S":
+        return abs(t.s0[t.p]) < STANDARD_ATOL
+    return (abs(t.c0[t.p] - 1) < STANDARD_ATOL
+            and t.c_qexp[t.p] == Fraction(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +195,10 @@ def test_make_params_c_constraint():
 
 def test_standard_params():
     t = make_params(2, 1)
-    assert t.is_standard
+    assert is_standard(t)
     assert abs(t.c_value(1, Q) - qp(-2)) < 1e-15     # (a^-, a^-) = 2 at p
     t = make_params(3, 1)
-    assert t.is_standard
+    assert is_standard(t)
     assert abs(t.c_value(1, Q) - qp(Fraction(-1, 2))) < 1e-15
 
 
@@ -166,6 +213,16 @@ def test_satake_halves_and_exponents_stay_exact(N):
         if N == 2 * p:
             values.extend(normalization_constants(sd)["Z_formula"])
         assert all(isinstance(x, (int, Fraction)) for x in values), (N, p)
+        # the exponents from the Fraction half roots alpha_i^-
+        norm2 = {i: pairing(sd.root_system, restricted_half_root(sd, i),
+                            restricted_half_root(sd, i)) for i in t.c_qexp}
+        expect = {i: -norm2[i] for i in t.c_qexp}
+        if N > 2 * p:
+            expect[p] = Fraction(-1, 2)
+            expect[N - p] = -2 * norm2[p] - expect[p]
+        assert t.c_qexp == expect, (N, p)
+        assert [type(x) for x in t.c_qexp.values()] == \
+            [type(x) for x in expect.values()], (N, p)
 
 
 def test_one_satake_build_per_solve(monkeypatch):
@@ -318,6 +375,71 @@ def test_mudrov_constraint_holds():
         assert np.max(np.abs(eigs - model)) < 1e-9
 
 
+def _reflection_residual_oracle(K, q):
+    """The column-loop reflection residual: Rh and K_1 = K (x) 1 act on N
+    columns at a time, held as (N, N, N) arrays v[c, d, column]."""
+    N = K.shape[0]
+    swap = np.where(np.eye(N, dtype=bool), 1 / q, 1.0)[:, :, None]
+    keep = np.tril(np.full((N, N), 1 / q - q), -1)[:, :, None]
+
+    def rh(v):
+        return swap * v.transpose(1, 0, 2) + keep * v
+
+    def k1(v):
+        return np.tensordot(K, v, axes=1)
+
+    diff2 = rhs2 = 0.0
+    cols = np.arange(N)
+    for a in range(N):
+        # the columns e_a (x) e_b, b = 0..N-1, of the identity
+        block = np.zeros((N, N, N), dtype=complex)
+        block[a, cols, cols] = 1.0
+        rhs = rh(k1(rh(k1(block))))
+        diff = k1(rh(k1(rh(block)))) - rhs
+        diff2 += np.vdot(diff, diff).real
+        rhs2 += np.vdot(rhs, rhs).real
+    return float(np.sqrt(diff2) / max(np.sqrt(rhs2), 1e-300))
+
+
+def _random_mudrov_k(rng, N, p):
+    """Random complex entries on the Mudrov support, zero elsewhere."""
+    K = np.zeros((N, N), dtype=complex)
+    for a, b in _mudrov_support(N, p):
+        K[a, b] = rng.normal() + 1j * rng.normal()
+    return K
+
+
+def _assert_matches_column_loop(K, q):
+    """Relative agreement where the residual is O(1); where K solves the
+    reflection equation both are at roundoff."""
+    new, oracle = reflection_residual(K, q), _reflection_residual_oracle(K, q)
+    if oracle > 1e-8:
+        assert abs(new - oracle) <= 1e-12 * oracle
+    else:
+        assert new <= 1e-14 and oracle <= 1e-14
+
+
+@pytest.mark.parametrize("q", [Q, 0.83])
+def test_reflection_residual_matches_column_loop(q):
+    rng = np.random.default_rng(7)
+    for N in range(1, 9):
+        _assert_matches_column_loop(
+            rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), q)
+    # on the Mudrov support; at N = 2 every such K solves the equation
+    for N in range(2, 17):
+        for p in range(1, N // 2 + 1):
+            _assert_matches_column_loop(_random_mudrov_k(rng, N, p), q)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8, 12, 16])
+def test_reflection_residual_of_solved_k_matches_column_loop(N):
+    for p in range(1, N // 2 + 1):
+        kw = {"s_p": 0.3j} if N == 2 * p else {"c_p0": 1.4}
+        K = solve_kmatrix(N, p, make_params(N, p, **kw), Q).K
+        assert reflection_residual(K, Q) <= 1e-14, (N, p)
+        assert _reflection_residual_oracle(K, Q) <= 1e-14, (N, p)
+
+
 def test_reflection_residual_negative_control():
     K = np.array([[1.0, 0.3], [0.0, 2.0]], dtype=complex)
     assert reflection_residual(K, Q) > 1e-3
@@ -333,16 +455,20 @@ def _flip(d):
 
 
 @pytest.mark.parametrize("q", [Q, 0.83])
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("N", [2, 3, 4, 5] + list(range(6, 13)))
 def test_reflection_residual_matches_dense_formula(N, q):
     rng = np.random.default_rng(N)
-    K = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    if N < 6:
+        Ks = [rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))]
+    else:
+        Ks = [_random_mudrov_k(rng, N, p) for p in range(1, N // 2 + 1)]
     Rh = _flip(N) @ r_matrix(N, q)
-    K1 = np.kron(K, np.eye(N))
-    lhs = K1 @ Rh @ K1 @ Rh
-    rhs = Rh @ K1 @ Rh @ K1
-    dense = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    assert abs(reflection_residual(K, q) - dense) <= 1e-12 * dense
+    for K in Ks:
+        K1 = np.kron(K, np.eye(N))
+        lhs = K1 @ Rh @ K1 @ Rh
+        rhs = Rh @ K1 @ Rh @ K1
+        dense = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+        assert abs(reflection_residual(K, q) - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
@@ -396,6 +522,92 @@ def test_solve_kmatrix_n32_matches_closed_form():
     kr = solve_kmatrix(32, 16, t, Q)
     assert np.max(np.abs(kr.K - closed_form_kmatrix(32, 16, t, Q))) < 1e-10
     assert kr.residuals["reflection"] < 1e-10
+
+
+@pytest.mark.parametrize("N,p,kw", [(64, 32, {"s_p": 0.2j}),
+                                    (64, 21, {"c_p0": 1.3})])
+def test_solve_kmatrix_n64_matches_closed_form(N, p, kw):
+    t = make_params(N, p, **kw)
+    kr = solve_kmatrix(N, p, t, Q)
+    assert np.max(np.abs(kr.K - closed_form_kmatrix(N, p, t, Q))) < 1e-10
+    assert kr.residuals["reflection"] < 1e-10
+
+
+def _commutator_system_oracle(g, positions):
+    """Matrix of M -> [M, g] for M supported on positions, one dense
+    (N, N, nvar) array per generator.
+
+    Row a N + b holds the coefficients of [M, g]_{ab}; column k those of the
+    entry M_{positions[k]}.
+    """
+    N, nvar = g.shape[0], len(positions)
+    c, d = np.array(positions, dtype=int).reshape(nvar, 2).T
+    k = np.arange(nvar)
+    A = np.zeros((N, N, nvar), dtype=complex)
+    # [e_cd, g]_{ab} = delta_ac g_db - g_ac delta_db
+    A[c, :, k] += g[d, :]
+    A[:, d, k] -= g[:, c]
+    return A.reshape(N * N, nvar)
+
+
+def _mudrov_system_oracle(N, p, gens):
+    """_mudrov_system from the per-generator dense systems."""
+    support = sorted(_mudrov_support(N, p))
+    pos_index = {pos: k for k, pos in enumerate(support)}
+    nvar = len(support)
+
+    rows = []
+    for g in gens:
+        # drop the zero rows (entries of [K, g] no support position reaches):
+        # they carry no equation
+        A = _commutator_system_oracle(g, support)
+        rows.extend(A[np.any(A != 0, axis=1)])
+    # diagonal equality constraints
+    for a in range(1, p):
+        row = np.zeros(nvar, dtype=complex)
+        row[pos_index[(0, 0)]] = 1
+        row[pos_index[(a, a)]] = -1
+        rows.append(row)
+    for a in range(p + 1, N - p):
+        row = np.zeros(nvar, dtype=complex)
+        row[pos_index[(p, p)]] = 1
+        row[pos_index[(a, a)]] = -1
+        rows.append(row)
+    return np.array(rows), support
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_mudrov_system_matches_per_generator_oracle(N):
+    for p in range(1, N // 2 + 1):
+        points = ([{"s_p": 0.0}, {"s_p": 0.3j}] if N == 2 * p
+                  else [{}, {"c_p0": 1.7}])
+        for kw, q in itertools.product(points, (Q, 1.01)):
+            gens = coideal_generators(N, p, make_params(N, p, **kw), q)["all"]
+            A, support = _mudrov_system(N, p, gens)
+            ref, ref_support = _mudrov_system_oracle(N, p, gens)
+            assert support == ref_support
+            _assert_bitwise_equal(A, ref)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_full_commutator_system_matches_per_generator_oracle(N):
+    F = fundamental(N, Q).F
+    off = [(a, b) for a in range(N) for b in range(N) if a != b]
+    # the weight spaces quasi_k_in_rep solves on, and a wider support
+    for positions in [[]] + [[pos] for pos in off] + [off]:
+        full = _full_commutator_system(F, positions)
+        ref = np.vstack([_commutator_system_oracle(g, positions) for g in F])
+        _assert_bitwise_equal(full, ref)
+        # quasi_k_in_rep negates the system, zero rows included
+        _assert_bitwise_equal(-full, np.vstack(
+            [-_commutator_system_oracle(g, positions) for g in F]))
 
 
 def test_solve_kmatrix_forms_no_n2_by_n2_array():
