@@ -8,10 +8,23 @@ of equal size as (nb, b, b) arrays, so that one batched numpy call handles
 each size, and scatters such stacks back into a CSR matrix.  ``inverse``,
 ``cond`` and ``det`` are the whole-matrix quantities computed block by
 block.
+
+A basis permutation that the matrices commute with (for the KZ operators,
+the Weyl group of k relabelling index values) maps blocks onto blocks, so
+only one block per orbit has to be computed.  ``Orbits`` takes such a
+symmetry as an image of each basis index: the block holding the images of a
+block is its representative.  It stacks only the representatives, verifies
+that the matrices commute with the map, and copies each representative's
+block to the blocks it represents when joining.
 """
 
 import numpy as np
 from scipy import sparse
+
+from .errors import ParameterError
+
+SYMMETRY_RTOL = 1e-13   # a block against its representative, relative to
+                        # the largest entry of the matrix
 
 
 def entries(m):
@@ -105,6 +118,72 @@ class Blocks:
         return sparse.csr_array(
             (data, (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n, self.n))
+
+
+class Orbits:
+    """The blocks of ``blocks`` grouped by a basis permutation that the
+    matrices commute with.
+
+    ``image`` sends each basis index to its canonical image (None is the
+    identity); the images of a block must fill one block of the same size,
+    its representative.  ``reps[c]`` lists the representatives' rows of
+    ``blocks.index[c]`` in ascending order, ``rep_of[c]`` the position in
+    ``reps[c]`` of each block's representative and ``relabel[c]`` the row in
+    the representative of the image of each index of each block.
+    """
+
+    def __init__(self, blocks, image=None):
+        n = blocks.n
+        image = np.arange(n) if image is None else np.asarray(image)
+        if (image.shape != (n,)
+                or not np.issubdtype(image.dtype, np.integer)
+                or not np.all((0 <= image) & (image < n))):
+            raise ParameterError(f"orbit map must send each of the {n} "
+                                 "basis indices to a basis index")
+        self.blocks = blocks
+        self.reps, self.rep_of, self.relabel = [], [], []
+        for c, idx in enumerate(blocks.index):
+            nb, b = idx.shape
+            img = image[idx]
+            slot, rel = blocks._slot[img], blocks._pos[img]
+            if not (np.all(blocks._cls[img] == c)
+                    and np.all(slot == slot[:, :1])
+                    and np.all(np.sort(rel, axis=1) == np.arange(b))):
+                raise ParameterError("orbit map does not send every block "
+                                     "onto one block of its size")
+            is_rep = np.zeros(nb, dtype=bool)
+            is_rep[slot[:, 0]] = True
+            self.reps.append(np.flatnonzero(is_rep))
+            self.rep_of.append((np.cumsum(is_rep) - 1)[slot[:, 0]])
+            self.relabel.append(rel)
+
+    def _spread(self, stacks):
+        """Every block from its representative's in the given stacks,
+        relabelled."""
+        return [s[rep_of[:, None, None], rel[:, :, None], rel[:, None, :]]
+                for s, rep_of, rel in zip(stacks, self.rep_of, self.relabel)]
+
+    def split(self, m):
+        """The representatives' blocks of m, one (nr, b, b) stack per size
+        class.
+
+        m must be one of the matrices the blocks were found from, and each
+        block of m must equal its representative's block relabelled, within
+        SYMMETRY_RTOL of the largest entry of m; otherwise ParameterError.
+        """
+        every = self.blocks.split(m)
+        out = [s[reps] for s, reps in zip(every, self.reps)]
+        tol = SYMMETRY_RTOL * max(float(np.abs(s).max()) for s in every)
+        if any(np.any(np.abs(s - t) > tol)
+               for s, t in zip(every, self._spread(out))):
+            raise ParameterError("matrix does not commute with the orbit map: "
+                                 "a block differs from its representative")
+        return out
+
+    def join(self, stacks):
+        """The CSR matrix whose every block is its representative's block in
+        the given stacks, relabelled; one stack per size class."""
+        return self.blocks.join(self._spread(stacks))
 
 
 def inverse(m):

@@ -14,9 +14,14 @@ w = 1/2.  The normalized 0 -> 1 monodromy is
 Coefficients of each series solve Sylvester equations
 (k - ad Lambda) H_k = RHS_k.  The operators conserve weight, so the problem
 splits into small blocks (the connected components of the joint sparsity
-pattern); the blocks of one size run as one stacked array, each in the
-eigenbasis of its Lambda, with a Kronecker-form fallback when that basis is
-ill conditioned.  Psi comes back as a CSR matrix.
+pattern).  The KZ coefficients also commute with the Weyl group
+S_p x S_{N-p} of k, which relabels the index values on every leg and so
+permutes the blocks: psi_kz and phi_kz pass its orbit map
+(sln.weyl_orbit_map), and only one representative block per orbit is
+integrated.  The representatives of one size run as one stacked array, each
+in the eigenbasis of its Lambda, with a Kronecker-form fallback when that
+basis is ill conditioned.  Psi comes back as a CSR matrix, every block
+copied from its representative through the relabelling.
 
 On top of the engine sit the cyclotomic associator Psi_{KZ,s;mu}, Drinfeld's
 Phi_KZ, the R-matrix exp(-h t^u), the ribbon (sigma-)braids, the first-order
@@ -31,9 +36,15 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import digamma
 
-from .blocks import Blocks
+from .blocks import SYMMETRY_RTOL, Blocks, Orbits
 from .errors import DomainError, ParameterError, ResonanceError, TruncationError
-from .sln import build_leg_tensor, embed_on_legs, k_basis, tensor_rep
+from .sln import (
+    build_leg_tensor,
+    embed_on_legs,
+    k_basis,
+    tensor_rep,
+    weyl_orbit_map,
+)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -50,6 +61,9 @@ class KZProblem:
     A_1: np.ndarray
     tol: float = 1e-12
     max_order: int = 200
+    # canonical image of each basis index under a basis permutation the
+    # coefficients commute with; None is the identity
+    orbit_map: np.ndarray = None
 
     def __post_init__(self):
         shapes = {m.shape for m in (self.A_minus1, self.A_0, self.A_1)}
@@ -66,29 +80,71 @@ class AssociatorResult:
     tail_estimate: float
 
 
-def check_resonances(vals, max_order):
-    """Error out if some k in 1..max_order is within the resonance threshold
-    of an eigenvalue difference vals[i] - vals[j].
+def check_resonances(vals, max_order, threshold=RESONANCE_THRESHOLD):
+    """Error out if some k in 1..max_order is within threshold of an
+    eigenvalue difference vals[i] - vals[j].
 
     The first offender in row-major order of (i, j) is reported.  The
     differences are formed RESONANCE_CHUNK at a time, whole rows each, so no
-    len(vals) x len(vals) array is built.
+    len(vals) x len(vals) array is built.  frobenius_monodromy runs it at
+    twice the threshold on the representatives' spectrum as a screen, and
+    at the threshold on the whole spectrum only when the screen hits.
     """
     rows = max(1, RESONANCE_CHUNK // max(1, len(vals)))
     for start in range(0, len(vals), rows):
         diffs = (vals[start:start + rows, None] - vals[None, :]).ravel()
         ks = np.rint(diffs.real)   # half to even, as round() does
         hits = np.flatnonzero((1 <= ks) & (ks <= max_order)
-                              & (np.abs(ks - diffs) < RESONANCE_THRESHOLD))
+                              & (np.abs(ks - diffs) < threshold))
         if hits.size:
             d = diffs[hits[0]]
             raise ResonanceError(int(ks[hits[0]]),
                                  f"eigenvalue difference {d:.3e}")
 
 
+def _check_spectrum(blocks, stacks, prob, s):
+    """check_resonances on the spectrum of the series at s (A_0 for s = 0,
+    A_1 for s = 1) over every block, screened on the representatives.
+
+    Every block of an orbit equals its representative's within
+    SYMMETRY_RTOL of the largest entry, so (Bauer-Fike) its eigenvalues lie
+    within drift = cond(V) b SYMMETRY_RTOL max|A| of the representative's,
+    V being the representative's eigenbasis.  With drift at most half the
+    threshold, every difference of the whole spectrum lies within the
+    threshold of a difference of the representatives', so a screen of
+    theirs at twice the threshold that finds nothing means the whole
+    spectrum is clean.  Otherwise, or on a hit, every block is diagonalized
+    as _Sylvester does (the same bits) and the whole spectrum is scanned,
+    components by least index, so the error is the one a scan of every
+    block reports.
+    """
+    mine = [(st, slice(s * st.nb, (s + 1) * st.nb)) for st in stacks]
+    scale = max(float(np.abs(st.lam[sl]).max()) for st, sl in mine)
+    drift = SYMMETRY_RTOL * scale * max(
+        st.lam.shape[1] * float(st.cond[sl].max()) for st, sl in mine)
+    if drift <= RESONANCE_THRESHOLD / 2:
+        try:
+            check_resonances(np.concatenate([st.vals[sl].ravel()
+                                             for st, sl in mine]),
+                             prob.max_order, 2 * RESONANCE_THRESHOLD)
+            return
+        except ResonanceError:
+            pass
+    vals = []
+    for a0, a1 in zip(blocks.split(prob.A_0), blocks.split(prob.A_1)):
+        lam_vals = np.linalg.eig(np.concatenate([a0, a1]))[0]
+        vals.append(lam_vals[s * len(a0):(s + 1) * len(a0)].ravel())
+    first = np.concatenate([np.repeat(idx[:, 0], idx.shape[1])
+                            for idx in blocks.index])
+    pos = np.concatenate([np.tile(np.arange(idx.shape[1]), idx.shape[0])
+                          for idx in blocks.index])
+    check_resonances(np.concatenate(vals)[np.lexsort((pos, first))],
+                     prob.max_order)
+
+
 class _Sylvester:
-    """The Sylvester recursions of both Frobenius series on the blocks of
-    one size, stacked.
+    """The Sylvester recursions of both Frobenius series on the
+    representative blocks of one size, stacked.
 
     Entries [:nb] of every stack expand at w = 0 (Lambda = A_0), entries
     [nb:] at w = 1 (Lambda = A_1).  Each H solves
@@ -107,8 +163,8 @@ class _Sylvester:
         self.nb, b, _ = a0.shape
         self.lam = np.concatenate([a0, a1])
         vals, vecs = np.linalg.eig(self.lam)
-        cond = np.linalg.cond(vecs)
-        ok = np.isfinite(cond) & (cond < EIG_COND_LIMIT)
+        self.cond = np.linalg.cond(vecs)
+        ok = np.isfinite(self.cond) & (self.cond < EIG_COND_LIMIT)
         self.vals = vals
         self.fallback = np.flatnonzero(~ok)
         self.V = np.where(ok[:, None, None], vecs, np.eye(b))
@@ -162,31 +218,33 @@ def frobenius_monodromy(prob):
     """Normalized monodromy Psi = G_1(1/2)^{-1} G_0(1/2) of the problem.
 
     The problem splits into the connected components of the joint sparsity
-    pattern of A_{-1}, A_0, A_1; the components of one size run as one stack,
-    and both series run in lockstep over the orders.  Each series stops once
-    the Frobenius norm of its whole order-k contribution ||H_k|| 2^{-k} has
+    pattern of A_{-1}, A_0, A_1.  With an orbit map, only one representative
+    block per orbit is integrated and every other block of Psi is its
+    representative's, relabelled; the coefficients are verified to commute
+    with the map (blocks.Orbits.split).  The representatives of one size run
+    as one stack, and both series run in lockstep over the orders.  Each
+    series stops once the Frobenius norm of its whole order-k contribution
+    ||H_k|| 2^{-k}, every block counted through its representative, has
     stayed below tol/10 for three orders (the singularities sit at distance
     1, so contributions decay geometrically); the tail bound extrapolates the
-    last contribution with ratio 3/4.  Errors keep the order of a series at
-    0 run to the end before the series at 1: a resonance at 0, then its
-    truncation, then a resonance at 1, then its truncation.  Psi is returned
-    as a CSR matrix.
+    last contribution with ratio 3/4.  Resonances are screened on the
+    representatives' spectrum at twice the threshold (_check_spectrum): the
+    blocks of an orbit share their spectrum up to a drift bounded by the
+    verified symmetry, so a clean screen means a clean whole spectrum, and
+    only a hit scans every block's eigenvalues.  Errors keep the order of a
+    series at 0 run to the end before the series at 1: a resonance at 0,
+    then its truncation, then a resonance at 1, then its truncation.  Psi
+    is returned as a CSR matrix.
     """
     mats = (prob.A_minus1, prob.A_0, prob.A_1)
     blocks = Blocks(*mats)
+    orbits = Orbits(blocks, prob.orbit_map)
     stacks = [_Sylvester(*split)
-              for split in zip(*(blocks.split(m) for m in mats))]
-    first = np.concatenate([np.repeat(idx[:, 0], idx.shape[1])
-                            for idx in blocks.index])
-    pos = np.concatenate([np.tile(np.arange(idx.shape[1]), idx.shape[0])
-                          for idx in blocks.index])
-    spectrum = np.lexsort((pos, first))   # components by least index
+              for split in zip(*(orbits.split(m) for m in mats))]
     pending = None     # a resonance at 1 waits until the series at 0 ran
     for s in (0, 1):
-        vals = np.concatenate([st.vals[s * st.nb:(s + 1) * st.nb].ravel()
-                               for st in stacks])
         try:
-            check_resonances(vals[spectrum], prob.max_order)
+            _check_spectrum(blocks, stacks, prob, s)
         except ResonanceError as exc:
             if s == 0:
                 raise
@@ -199,10 +257,10 @@ def frobenius_monodromy(prob):
     for k in range(prob.max_order):
         scale = 0.5 ** (k + 1)
         sq = dict.fromkeys(active, 0.0)
-        for st in stacks:
+        for st, rep_of in zip(stacks, orbits.rep_of):
             norms = st.step(k, active, scale)
             for i, s in enumerate(active):
-                sq[s] += float(norms[i * st.nb:(i + 1) * st.nb].sum())
+                sq[s] += float(norms[i * st.nb:(i + 1) * st.nb][rep_of].sum())
         for s in active:
             c = np.sqrt(sq[s]) * scale
             if c < prob.tol / 10:
@@ -219,7 +277,7 @@ def frobenius_monodromy(prob):
         raise TruncationError(tail, prob.max_order)
     if pending:
         raise pending
-    psi = blocks.join([st.monodromy() for st in stacks])
+    psi = orbits.join([st.monodromy() for st in stacks])
     return AssociatorResult(psi=psi, order_used=max(done[0][0], done[1][0]),
                             tail_estimate=max(done[0][1], done[1][1]))
 
@@ -256,6 +314,7 @@ def psi_kz(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200):
         A_0=hb * (2 * tk01 + ck1) + x * z1,
         A_1=hb * tu12,
         tol=tol, max_order=max_order,
+        orbit_map=weyl_orbit_map(pr.N, pr.p, sum(r.legs for r in reps)),
     )
     return frobenius_monodromy(prob).psi
 
@@ -272,6 +331,7 @@ def phi_kz(pr, reps, h, tol=1e-12, max_order=200):
         A_0=hb * t12,
         A_1=hb * t23,
         tol=tol, max_order=max_order,
+        orbit_map=weyl_orbit_map(pr.N, pr.p, sum(r.legs for r in reps)),
     )
     return frobenius_monodromy(prob).psi
 
@@ -346,22 +406,6 @@ def first_order_oracle(pr, reps, s):
     c_plus = EULER_GAMMA + complex(digamma(z1))
     c_minus = EULER_GAMMA + complex(digamma(z2))
     return (np.log(2.0) * tu + c_plus * tp + c_minus * tm).toarray() / (np.pi * 1j)
-
-
-def first_order_oracle_s_derivative(pr, reps, s):
-    """d/ds of the order-h coefficient, via trigamma and sech^2:
-
-    (1/4 pi)(psi'(1/2 + is/2) - psi'(1/2 - is/2)) t^m_12
-      - (pi/4) sech^2(pi s / 2) (t^{m+}_12 - t^{m-}_12).
-    """
-    import mpmath
-    tp = build_leg_tensor(pr, "t_mplus", reps, (1, 2))
-    tm = build_leg_tensor(pr, "t_mminus", reps, (1, 2))
-    s = complex(s)
-    tri = lambda z: complex(mpmath.polygamma(1, mpmath.mpc(z)))
-    coeff_m = (tri(0.5 + 0.5j * s) - tri(0.5 - 0.5j * s)) / (4 * np.pi)
-    sech2 = 1.0 / np.cosh(np.pi * s / 2) ** 2
-    return (coeff_m * (tp + tm) - (np.pi / 4) * sech2 * (tp - tm)).toarray()
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,26 @@ def build_leg_tensor(pr, symbol, reps, legs):
     return _place(terms, dims)
 
 
+def weyl_orbit_map(N, p, legs):
+    """The canonical image of each basis index of V^{(x) legs} under the
+    Weyl group S_p x S_{N-p} of k, which relabels the index values on every
+    leg at once.
+
+    The relabelling sigma of an index sorts the counts of its values,
+    descending and stable, within [0, p) and within [p, N): the most
+    frequent value of each half goes to the start of that half.  So sigma
+    depends only on the content, and it maps a weight space onto the one
+    whose content is sorted.  Every KZ coefficient commutes with the group.
+    """
+    digits = np.indices((N,) * legs).reshape(legs, N ** legs).T
+    counts = (digits[:, :, None] == np.arange(N)).sum(axis=1)
+    halves = [lo + np.argsort(-counts[:, lo:hi], axis=1, kind="stable")
+              for lo, hi in ((0, p), (p, N))]
+    sigma = np.argsort(np.concatenate(halves, axis=1), axis=1)
+    relabelled = np.take_along_axis(sigma, digits, axis=1)
+    return relabelled @ N ** np.arange(legs - 1, -1, -1)
+
+
 # ---------------------------------------------------------------------------
 # Cayley transforms and residuals
 

@@ -87,6 +87,16 @@ def test_kohno_drinfeld_nonempty_black_vertices():
     assert max(out["kz_residuals"].values()) < 1e-8
 
 
+@pytest.mark.parametrize("N, p", [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3)])
+@pytest.mark.parametrize("h", [0.05, 0.1])
+def test_kohno_drinfeld_sweep_three_strands(N, p, h):
+    # the criterion 6 and 7 tolerances
+    out = kohno_drinfeld_compare(N, p, h=h, n=3)
+    assert out["max_delta"] <= 1e-6
+    assert max(out["q_residuals"].values()) <= 1e-8
+    assert max(out["kz_residuals"].values()) <= 1e-8
+
+
 def test_relation_negative_control():
     t = make_params(2, 1)
     rep, _ = q_side_rep(2, 1, t, 0.05, 2)

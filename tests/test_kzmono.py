@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -17,7 +19,6 @@ from qspair.kzmono import (
     central_scalar_matrix,
     check_resonances,
     first_order_oracle,
-    first_order_oracle_s_derivative,
     frobenius_monodromy,
     identity_residuals,
     phi_kz,
@@ -31,6 +32,7 @@ from qspair.sln import (
     realize,
     tensor_rep,
     trivial_rep,
+    weyl_orbit_map,
 )
 
 
@@ -167,7 +169,8 @@ def _psi_problem(pr, reps, s, h):
                        - (leg("t_mplus", (1, 2)) + leg("t_mminus", (1, 2)))),
         A_0=hb * (2 * leg("t_k", (0, 1)) + leg("casimir_k", (1,)))
         + s * leg("Z", (1,)),
-        A_1=hb * leg("t_u", (1, 2)))
+        A_1=hb * leg("t_u", (1, 2)),
+        orbit_map=weyl_orbit_map(pr.N, pr.p, sum(r.legs for r in reps)))
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -180,6 +183,162 @@ def test_blocked_engine_matches_dense_psi_kz(N, merged):
     _assert_matches_dense(prob)
     psi = psi_kz(pr, reps, 0.3, 0.0, 0.05)
     assert (psi != frobenius_monodromy(prob).psi).nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# the orbit engine: one series per Weyl orbit of blocks, against the direct
+# engine (no orbit map), which integrates every block
+
+def _phi_problem(pr, reps, h):
+    """The KZProblem phi_kz solves, built as phi_kz builds it."""
+    import qspair.kzmono as kz
+    hb = kz._hbar(h)
+    t12 = build_leg_tensor(pr, "t_u", reps, (0, 1))
+    return KZProblem(
+        A_minus1=sparse.csr_array(t12.shape, dtype=complex),
+        A_0=hb * t12,
+        A_1=hb * build_leg_tensor(pr, "t_u", reps, (1, 2)),
+        orbit_map=weyl_orbit_map(pr.N, pr.p, sum(r.legs for r in reps)))
+
+
+def _orbit_and_direct(prob):
+    return (frobenius_monodromy(prob),
+            frobenius_monodromy(replace(prob, orbit_map=None)))
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_orbit_engine_matches_direct(N):
+    f = fundamental_rep(N)
+    for p in range(1, N // 2 + 1):
+        pr = realize(N, p)
+        probs = [_psi_problem(pr, (m, f, f), 0.3, 0.05)
+                 for m in (tensor_rep(f, f), f)]
+        probs.append(_phi_problem(pr, (f, f, f), 0.05))
+        for prob in probs:
+            orbit, direct = _orbit_and_direct(prob)
+            err = (np.linalg.norm((orbit.psi - direct.psi).data)
+                   / np.linalg.norm(direct.psi.data))
+            assert err <= 1e-14, (N, p, err)
+            assert orbit.order_used == direct.order_used
+        assert np.array_equal(psi_kz(pr, (f, f, f), 0.3, 0.0, 0.05).toarray(),
+                              frobenius_monodromy(probs[1]).psi.toarray())
+
+
+def test_orbit_engine_bitwise_at_trivial_group(pr2):
+    # S_1 x S_1 is trivial: every block is its own representative
+    reps = (tensor_rep(F2, F2), F2, F2)
+    assert np.array_equal(weyl_orbit_map(2, 1, 4), np.arange(16))
+    for prob in (_psi_problem(pr2, reps, 0.4, 0.05),
+                 _psi_problem(pr2, (F2, F2, F2), 0.4, 0.05),
+                 _phi_problem(pr2, (F2, F2, F2), 0.05)):
+        orbit, direct = _orbit_and_direct(prob)
+        assert np.array_equal(orbit.psi.toarray(), direct.psi.toarray())
+        assert (orbit.order_used, orbit.tail_estimate) == (
+            direct.order_used, direct.tail_estimate)
+
+
+def _weyl_transpositions(N, p, legs):
+    """Basis permutations of V^{(x) legs} by each adjacent transposition of
+    values within [0, p) and within [p, N), on every leg at once."""
+    digits = np.unravel_index(np.arange(N ** legs), (N,) * legs)
+    for a in [*range(p - 1), *range(p, N - 1)]:
+        sigma = np.arange(N)
+        sigma[[a, a + 1]] = a + 1, a
+        yield np.ravel_multi_index(tuple(sigma[d] for d in digits),
+                                   (N,) * legs)
+
+
+@pytest.mark.parametrize("N, p, s, h", [
+    (N, p, s, h) for N in range(3, 9) for p in range(1, N // 2 + 1)
+    for s, h in ((0.4, 0.05), (-0.7, 0.1))])
+def test_psi_commutes_with_weyl_group(N, p, s, h):
+    pr = realize(N, p)
+    f = fundamental_rep(N)
+    psi = psi_kz(pr, (tensor_rep(f, f), f, f), s, 0.0, h)
+    for perm in _weyl_transpositions(N, p, 4):
+        assert abs(psi[perm][:, perm] - psi).max() <= 1e-13
+
+
+def _two_orbit_problem(a0_diag, a0_extra=()):
+    """A 6 x 6 problem with blocks {0, 1}, {2, 3}, {4, 5} (A_1 couples each
+    pair) and the orbit map sending {0, 1} onto {4, 5}; A_0 is diagonal
+    plus the given (row, col, value) entries."""
+    A0 = np.diag(np.asarray(a0_diag, dtype=complex))
+    for r, c, v in a0_extra:
+        A0[r, c] = v
+    A1 = np.kron(np.eye(3), [[0.0, 0.1], [0.1, 0.0]]).astype(complex)
+    return KZProblem(np.zeros((6, 6), dtype=complex), A0, A1,
+                     orbit_map=np.array([4, 5, 2, 3, 4, 5]))
+
+
+def test_orbit_map_must_fit_coefficients():
+    x, y = (0.1, 0.25), (0.6, 0.3)
+    frobenius_monodromy(_two_orbit_problem(x + y + x))
+    frobenius_monodromy(_two_orbit_problem(
+        x + y + x, [(0, 1, 0.01), (4, 5, 0.01)]))
+    bad = [
+        _two_orbit_problem(x + y + (0.1, 0.25 + 1e-9)),  # a value off
+        _two_orbit_problem(x + y + x, [(4, 5, 0.01)]),   # only the rep's
+        _two_orbit_problem(x + y + x, [(0, 1, 0.01)]),   # only the other's
+    ]
+    # the psi_kz problem with one entry of A_0 moved off the symmetry
+    pr = realize(4, 2)
+    f = fundamental_rep(4)
+    prob = _psi_problem(pr, (tensor_rep(f, f), f, f), 0.3, 0.05)
+    i = np.ravel_multi_index((1, 1, 1, 1), (4,) * 4)
+    assert prob.orbit_map[i] != i
+    A0 = prob.A_0.tolil()
+    A0[i, i] *= 1 + 1e-9
+    bad.append(replace(prob, A_0=A0.tocsr()))
+    # maps that do not send blocks onto blocks of their size
+    bad.append(replace(prob, orbit_map=np.zeros(256, dtype=int)))
+    bad.append(replace(prob, orbit_map=np.arange(255)))
+    bad.append(replace(prob, orbit_map=np.arange(256.0)))
+    for prob in bad:
+        with pytest.raises(ParameterError):
+            frobenius_monodromy(prob)
+
+
+def test_resonance_screen_between_threshold_and_twice_it():
+    # y_0 - x_0 = 1 + 1.5e-8 across orbits: the screen on the
+    # representatives hits, the whole spectrum is clean, so no error
+    diag = (0.1, 0.25, 1.1 + 1.5e-8, 0.6, 0.1, 0.25)
+    assert _resonance_by_loop(np.array(diag, dtype=complex), 200) is None
+    assert _check_message(np.array(diag[2:], dtype=complex), 200,
+                          2 * RESONANCE_THRESHOLD) is not None
+    frobenius_monodromy(_two_orbit_problem(diag))
+
+
+def test_resonance_screen_reports_the_whole_spectrum_offender():
+    # the whole spectrum (0.1, 2.35 | 1.1, 0.35 | 0.1, 2.35) first offends
+    # in row 2.35: 2.35 - 0.35 = 2; the representatives' spectrum
+    # (1.1, 0.35 | 0.1, 2.35) first in row 1.1: 1.1 - 0.1 = 1
+    diag = np.array((0.1, 2.35, 1.1, 0.35, 0.1, 2.35), dtype=complex)
+    want = _resonance_by_loop(diag, 200)
+    assert want is not None and want != _resonance_by_loop(diag[2:], 200)
+    with pytest.raises(ResonanceError) as exc:
+        frobenius_monodromy(_two_orbit_problem(diag))
+    assert str(exc.value) == want
+    assert exc.value.k == 2
+
+
+def test_resonance_screen_defers_to_whole_spectrum_when_ill_conditioned():
+    # the representative {4, 5} of A_0 is a Jordan block with eigenvalue
+    # 0.1; its orbit member {0, 1} differs by 1e-14, within the symmetry
+    # tolerance, which splits its eigenvalue into 0.1 +- 1e-7.  The whole
+    # spectrum resonates, 1.1 + 1e-7 - (0.1 + 1e-7) = 1, the
+    # representatives' does not (1 + 1e-7); the defective representative
+    # makes the screen untrustworthy, so the whole spectrum is scanned
+    jordan = [(0, 1, 1.0), (4, 5, 1.0), (1, 0, 1e-14), (2, 3, 0.01)]
+    prob = _two_orbit_problem((0.1, 0.1, 1.1 + 1e-7, 0.6, 0.1, 0.1), jordan)
+    whole = np.concatenate([np.linalg.eig(prob.A_0[b][:, b])[0]
+                            for b in ([0, 1], [2, 3], [4, 5])])
+    want = _resonance_by_loop(whole, 200)
+    assert want is not None
+    assert _resonance_by_loop(whole[2:], 200) is None
+    with pytest.raises(ResonanceError) as exc:
+        frobenius_monodromy(prob)
+    assert str(exc.value) == want
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +420,9 @@ def _resonance_by_loop(vals, max_order):
     return None
 
 
-def _check_message(vals, max_order):
+def _check_message(vals, max_order, threshold=RESONANCE_THRESHOLD):
     try:
-        check_resonances(vals, max_order)
+        check_resonances(vals, max_order, threshold)
     except ResonanceError as exc:
         return str(exc)
     return None
@@ -486,6 +645,22 @@ def test_oracle_pole_rejected(pr2):
     from qspair.errors import DomainError
     with pytest.raises(DomainError):
         first_order_oracle(pr2, (F2, F2, F2), -1j)
+
+
+def first_order_oracle_s_derivative(pr, reps, s):
+    """d/ds of the order-h coefficient, via trigamma and sech^2:
+
+    (1/4 pi)(psi'(1/2 + is/2) - psi'(1/2 - is/2)) t^m_12
+      - (pi/4) sech^2(pi s / 2) (t^{m+}_12 - t^{m-}_12).
+    """
+    import mpmath
+    tp = build_leg_tensor(pr, "t_mplus", reps, (1, 2))
+    tm = build_leg_tensor(pr, "t_mminus", reps, (1, 2))
+    s = complex(s)
+    tri = lambda z: complex(mpmath.polygamma(1, mpmath.mpc(z)))
+    coeff_m = (tri(0.5 + 0.5j * s) - tri(0.5 - 0.5j * s)) / (4 * np.pi)
+    sech2 = 1.0 / np.cosh(np.pi * s / 2) ** 2
+    return (coeff_m * (tp + tm) - (np.pi / 4) * sech2 * (tp - tm)).toarray()
 
 
 def test_oracle_s_derivative_matches_finite_difference(pr2):
