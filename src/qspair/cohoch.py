@@ -150,7 +150,6 @@ class LieData:
     bracket: dict          # (a, b) -> dict index -> Fraction, for a < b
     weights: tuple         # one weight tuple per basis vector
     shifts: tuple          # (sign, weight) pairs
-    names: tuple = ()
 
     def ad(self, a, b):
         """[X_a, X_b] as a sparse coefficient dict."""
@@ -182,7 +181,7 @@ def _entries(m):
     return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)}
 
 
-def make_lie_data(matrices, dim_h, names=(), torus=(), shifts=None):
+def make_lie_data(matrices, dim_h, torus=(), shifts=None):
     """Structure constants from exact matrices; validates h is a subalgebra.
 
     The matrix entries must be exact rationals (int or Fraction); anything
@@ -216,8 +215,7 @@ def make_lie_data(matrices, dim_h, names=(), torus=(), shifts=None):
             if any(i >= dim_h for i in bracket.get((a, b), {})):
                 raise DomainError("h is not a subalgebra")
     lie = LieData(dim=dim, dim_h=dim_h, bracket=bracket, weights=(),
-                  shifts=shifts or ((1, (0,) * len(torus)),),
-                  names=tuple(names))
+                  shifts=shifts or ((1, (0,) * len(torus)),))
     acts = [[lie.ad(t, i) for t in torus] for i in range(dim)]
     if any(set(act) - {i} for i, row in enumerate(acts) for act in row):
         raise DomainError("the torus does not act diagonally on the basis")
@@ -250,9 +248,9 @@ def sl2_data(subalgebra="zero"):
     e, f = _E(2, 0, 1), _E(2, 1, 0)
     hh = _madd((1, _E(2, 0, 0)), (-1, _E(2, 1, 1)))
     if subalgebra == "zero":
-        return make_lie_data([e, hh, f], 0, names=("e", "h", "f"))
+        return make_lie_data([e, hh, f], 0)
     if subalgebra == "cartan":
-        return make_lie_data([hh, e, f], 1, names=("h", "e", "f"), torus=(0,))
+        return make_lie_data([hh, e, f], 1, torus=(0,))
     raise ParameterError(f"sl2 supports zero|cartan, got {subalgebra!r}")
 
 
@@ -349,9 +347,9 @@ class CochainComplex:
     lie: LieData
     max_degree: int
     max_weight: int
-    _block_rank_cache: dict = field(default_factory=dict)
-    _splits_cache: dict = field(default_factory=dict)
-    _orbit_tables: dict = field(default_factory=dict)
+    _block_rank_cache: dict = field(default_factory=dict, init=False)
+    _splits_cache: dict = field(default_factory=dict, init=False)
+    _orbit_tables: dict = field(default_factory=dict, init=False)
 
     def block(self, n, content):
         """Basis of the block of C^n with this letter content."""
@@ -489,18 +487,6 @@ def cohomology_dims(cc, invariant=False):
                      - cc.rank(n - 1, w, invariant))
             for w in range(cc.max_weight + 1)
             for n in range(cc.max_degree + 1)}
-
-
-def primitive_cocycle(cc, letters):
-    """The cochain 1 (x) X_{i1} (x) ... (x) X_{in} as a sparse vector index."""
-    d = cc.lie.dim
-    m0 = (0,) * cc.lie.dim_h
-    legs = []
-    for i in letters:
-        m = [0] * d
-        m[i] = 1
-        legs.append(tuple(m))
-    return (m0,) + tuple(legs)
 
 
 def cocycle_is_coboundary(cc, n, vector):

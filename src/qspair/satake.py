@@ -247,7 +247,7 @@ def dim_m(sd):
     )
 
 
-def normalization_constants(sd, dual_coxeter=None, length_ratio=1):
+def normalization_constants(sd):
     """a_sigma = sqrt(2 h^vee c / dim m) plus the S-type Z_nu formula check.
 
     For type A the dual Coxeter number is N and c = 1.  In the S-type case
@@ -256,9 +256,9 @@ def normalization_constants(sd, dual_coxeter=None, length_ratio=1):
     """
     if sd.hermitian_tag not in ("S", "C"):
         raise DomainError("normalization constants require a Hermitian pair")
-    hv = sd.N if dual_coxeter is None else dual_coxeter
+    hv = sd.N
     dm = dim_m(sd)
-    a2 = Fraction(2 * hv * length_ratio, dm)
+    a2 = Fraction(2 * hv, dm)
     out = {
         "a_sigma_squared": a2,
         "a_sigma": float(a2) ** 0.5,

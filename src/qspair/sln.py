@@ -1,8 +1,9 @@
 """Concrete sl_N realization of the AIII symmetric pairs.
 
 Builds the matrix ingredients every other module consumes: Z_nu, the spectral
-projectors of ad Z_nu, the split invariant tensors t^u = t^k + t^{m+} + t^{m-},
-Casimirs, the classical r-matrix, interpolated Cayley transforms with their
+projectors of ad Z_nu, the split invariant tensors t^u = t^k + t^{m+} + t^{m-}
+and the classical r-matrix, each one (N,N,N,N) array built once per
+realization, Casimirs, interpolated Cayley transforms with their
 residual checks, the Omega-pairing, and a builder that places these elements
 on arbitrary legs of a tensor product.  Every module is a tensor power of the
 fundamental, so every placement is one of fundamental-leg operators.
@@ -14,7 +15,7 @@ equals H_alpha on the nose and no structure-constant phases appear.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -75,12 +76,19 @@ class PairRealization:
     Znu: np.ndarray            # N x N, i * diag(1 - p/N, ..., -p/N, ...)
     basis_g: list              # basis X_a of sl_N
     dual_g: list               # dual basis X^a under Tr
-    t_u: list                  # list of (A, B) pairs summing to t^u
-    t_k: list
-    t_mplus: list
-    t_mminus: list
-    r: list                    # classical r-matrix pairs, eq-style normalized
+    # t_u, r, t_k, t_mplus and t_mminus are elements sum A (x) B of g (x) g,
+    # each the (N,N,N,N) array T[a,b,c,d] = sum A_ab B_cd
+    t_u: np.ndarray
+    r: np.ndarray              # classical r-matrix, eq-style normalized
     cascade_roots: list        # cascade as (a, b) index pairs, X_gamma = e_ab
+    t_k: np.ndarray = field(init=False)
+    t_mplus: np.ndarray = field(init=False)
+    t_mminus: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.t_k = _project_tensor(self.t_u, self.proj_k, self.proj_k)
+        self.t_mplus = _project_tensor(self.t_u, self.proj_mplus, self.proj_mminus)
+        self.t_mminus = _project_tensor(self.t_u, self.proj_mminus, self.proj_mplus)
 
     # spectral projectors of ad Z_nu (as maps on N x N matrices)
     def proj_k(self, X):
@@ -133,39 +141,24 @@ def realize(N, p):
     """Populate the matrix realization of the AIII pair (N, p)."""
     sd = satake_mod.build_aiii(N, p)
     Znu = 1j * np.diag([1 - p / N] * p + [-p / N] * (N - p)).astype(complex)
-
     basis, dual = _sl_basis(N)
-    t_u = list(zip(basis, dual))
-
-    pr = PairRealization(
-        N=N, p=p, sd=sd, Znu=Znu,
-        basis_g=basis, dual_g=dual,
-        t_u=t_u, t_k=[], t_mplus=[], t_mminus=[], r=[],
-        cascade_roots=[],
-    )
-    pr.t_k = [(pr.proj_k(A), pr.proj_k(B)) for A, B in t_u]
-    pr.t_mplus = [(pr.proj_mplus(A), pr.proj_mminus(B)) for A, B in t_u]
-    pr.t_mminus = [(pr.proj_mminus(A), pr.proj_mplus(B)) for A, B in t_u]
-
     # r = i sum_{alpha>0} ((alpha,alpha)/2) (X_{-a} (x) X_a - X_a (x) X_{-a});
     # for type A every (alpha, alpha) = 2 and X_{L_a - L_b} = e_{ab}
-    r = []
-    for a in range(N):
-        for b in range(a + 1, N):
-            r.append((1j * _eij(N, b, a), _eij(N, a, b)))
-            r.append((-1j * _eij(N, a, b), _eij(N, b, a)))
-    pr.r = r
-
-    for g in sd.cascade:
-        a = next(i for i, c in enumerate(g) if c == 1)
-        b = next(i for i, c in enumerate(g) if c == -1)
-        pr.cascade_roots.append((a, b))
-    return pr
+    r = np.zeros((N,) * 4, dtype=complex)
+    a, b = np.triu_indices(N, 1)
+    r[b, a, a, b] = 1j
+    r[a, b, b, a] = -1j
+    cascade_roots = [(g.index(1), g.index(-1)) for g in sd.cascade]
+    return PairRealization(
+        N=N, p=p, sd=sd, Znu=Znu, basis_g=basis, dual_g=dual,
+        t_u=np.tensordot(basis, dual, axes=(0, 0)), r=r,
+        cascade_roots=cascade_roots)
 
 
 def casimir_matrix(pr, which="k"):
-    """C = sum_a A_a B_a on the fundamental for the chosen split tensor."""
-    return sum(A @ B for A, B in {"k": pr.t_k, "u": pr.t_u}[which])
+    """C = sum_a A_a B_a on the fundamental for the chosen split tensor T,
+    that is C_ad = sum_b T[a,b,b,d]."""
+    return np.einsum("abbd->ad", {"k": pr.t_k, "u": pr.t_u}[which])
 
 
 # arity and split tensor (a PairRealization field) of each symbol
@@ -224,15 +217,16 @@ def _place(terms, dims):
 
 def build_leg_tensor(pr, symbol, reps, legs):
     """A named element on the given slots of prod_i reps[i], as a CSR matrix
-    on their fundamental legs.  A two-leg symbol sum_a A_a (x) B_a is its
-    N^2 x N^2 pair factor on each pair of legs, one per slot; Z is Z_nu on
-    each leg of its slot; a Casimir is the one-leg Casimir on each leg of its
-    slot plus the pair factor on each ordered pair of its legs.  A slot with
-    no legs gives the zero operator, the counit.
+    on their fundamental legs.  A two-leg symbol T = sum_a A_a (x) B_a is
+    its N^2 x N^2 pair factor, T[a,b,c,d] at row (a, c) and column (b, d),
+    on each pair of legs, one per slot; Z is Z_nu on each leg of its slot; a
+    Casimir is the one-leg Casimir on each leg of its slot plus the pair
+    factor on each ordered pair of its legs.  A slot with no legs gives the
+    zero operator, the counit.
     """
     if symbol not in _SYMBOLS:
         raise ParameterError(f"unknown symbol {symbol!r}")
-    arity, field = _SYMBOLS[symbol]
+    arity, attr = _SYMBOLS[symbol]
     if len(legs) != arity:
         raise ShapeError(f"symbol {symbol!r} needs {arity} legs, got {len(legs)}")
     for leg in legs:
@@ -252,12 +246,8 @@ def build_leg_tensor(pr, symbol, reps, legs):
     if arity == 1:      # a Casimir: C on each leg, then t on its leg pairs
         terms = [(casimir_matrix(pr, symbol[-1]), p) for p in each]
         each = itertools.permutations(slots[0], 2)
-    pairs = list(each)
-    if pairs:
-        factor = sum(np.multiply.outer(A, B).swapaxes(1, 2).reshape(N * N, N * N)
-                     for A, B in getattr(pr, field))
-        terms += [(factor, p) for p in pairs]
-    return _place(terms, dims)
+    factor = getattr(pr, attr).swapaxes(1, 2).reshape(N * N, N * N)
+    return _place(terms + [(factor, p) for p in each], dims)
 
 
 def weyl_orbit_map(N, p, legs):
@@ -290,14 +280,6 @@ def cayley(pr, phi):
     for a, b in pr.cascade_roots:
         gen += _eij(N, a, b) + _eij(N, b, a)
     return expm(1j * np.pi * phi / 4 * gen)
-
-
-def _pair_list_to_array(pairs, N):
-    """g (x) g element as an (N,N,N,N) array T[a,b,c,d] = sum A_ab B_cd."""
-    T = np.zeros((N, N, N, N), dtype=complex)
-    for A, B in pairs:
-        T += np.einsum("ab,cd->abcd", A, B)
-    return T
 
 
 def _ad_both_legs_impl(g, gi, T):
@@ -336,9 +318,8 @@ def r_rotation_residual(pr, phi):
     """
     g = cayley(pr, phi)
     gi = np.linalg.inv(g)
-    T = _pair_list_to_array(pr.r, pr.N)
-    rot = _ad_both_legs_impl(g, gi, T)
-    diff = rot - np.cos(np.pi * phi / 2) * T
+    rot = _ad_both_legs_impl(g, gi, pr.r)
+    diff = rot - np.cos(np.pi * phi / 2) * pr.r
     proj_m = lambda X: pr.proj_mplus(X) + pr.proj_mminus(X)
     return _tensor_norm(_project_tensor(diff, proj_m, proj_m))
 
@@ -383,7 +364,6 @@ def coisotropy_residual(pr, phi, probe=None):
     With probe set (an N x N matrix), evaluates the same functional on that
     single element instead, which is used as a negative control.
     """
-    N = pr.N
     kbasis = k_phi_basis(pr, phi)
     # orthonormalize k_phi once; complement projector via it
     vecs = np.array([b.ravel() for b in kbasis]).T
@@ -393,7 +373,7 @@ def coisotropy_residual(pr, phi, probe=None):
         x = X.ravel()
         return (x - q @ (q.conj().T @ x)).reshape(X.shape)
 
-    T = _pair_list_to_array(pr.r, N)
+    T = pr.r
 
     def residual_for(X):
         # delta_r(X) = [r, X (x) 1 + 1 (x) X]
@@ -406,29 +386,14 @@ def coisotropy_residual(pr, phi, probe=None):
     return max(residual_for(X) for X in kbasis)
 
 
-def omega_pairing(pr, pairs):
-    """<Omega, 1 (x) T> = sum ([[A, Z], [B, Z]], Z)_g over T = sum A (x) B."""
-    Z = pr.Znu
-    total = 0j
-    for A, B in pairs:
-        AZ = A @ Z - Z @ A
-        BZ = B @ Z - Z @ B
-        total += np.trace((AZ @ BZ - BZ @ AZ) @ Z)
-    return complex(total)
+def omega_pairing(pr, T):
+    """<Omega, 1 (x) T> = sum ([[A, Z], [B, Z]], Z)_g over T = sum A (x) B.
 
-
-def theta_matrix(N, p):
-    """The Satake-form involution matrix of the AIII family: m_0 = A_N in the
-    S-type case, z m_0 m_X in the C-type case; theta = Ad of this matrix."""
-    if N == 2 * p:
-        return a_antidiag(N)
-    z_phase = np.exp(1j * np.pi * p / N)
-    m = np.zeros((N, N), dtype=complex)
-    Ap = a_antidiag(p)
-    m[:p, N - p:] = -Ap.T
-    m[p:N - p, p:N - p] = np.eye(N - 2 * p)
-    m[N - p:, :p] = -Ap
-    return z_phase * m
+    With Z = diag(z), [A, Z]_ab = A_ab (z_b - z_a), so the pairing is
+    sum_ab T[a,b,b,a] (z_b - z_a)^3.
+    """
+    z = np.diag(pr.Znu)
+    return complex(np.einsum("abba,ab->", T, (z - z[:, None]) ** 3))
 
 
 def a_antidiag(k):

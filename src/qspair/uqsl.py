@@ -35,6 +35,8 @@ from .sln import _eij, a_antidiag, cartan_gram_inverse, embed_on_legs
 
 MU_FLAG_FACTOR = 10.0   # |mu| beyond this multiple of h flags a bad sign fit
 NULL_RTOL = 1e-9        # singular values up to this share of the largest: null
+FIT_ATOL = 1e-9         # eigenvalue-fit s+mu off its closed form: error
+QUASI_K_ATOL = 1e-9     # quasi-K recursion residual at a weight: error
 CORNER_RTOL = 1e-12     # |K_{N1}| up to this share of max |K_ab|: zero
 PARAM_ATOL = 1e-12      # |Re s_p|, |Im c_p^(0)|, |s_p -+ 1| up to this: zero
 MIDDLE_RTOL = 1e-9      # middle-block eigenvalue off its closed form: error
@@ -583,7 +585,7 @@ def kz_side_eigenvalue_data(N, p, h):
     return c_plus, c_minus, z_plus, z_minus
 
 
-def infer_s_mu_from_eigs(eigs, N, p, h, t, tol=1e-9):
+def infer_s_mu_from_eigs(eigs, N, p, h, t):
     """Fit (s, s+mu, g) so that the eigenvalues of K match those of
     g exp(-h C^k + pi (1 - i(s+mu)) Z) over g in Z(SU(N)).
 
@@ -655,7 +657,7 @@ def infer_s_mu_from_eigs(eigs, N, p, h, t, tol=1e-9):
         # both signs close: only possible for s ~ 0 where they agree anyway
 
     closed_x = closed_form_s_plus_mu(N, p, t, q)
-    if abs(x - closed_x) > tol:
+    if abs(x - closed_x) > FIT_ATOL:
         raise ComparisonError(
             f"eigenvalue fit s+mu = {x} disagrees with closed form {closed_x}")
     return float(s), complex(x), complex(g), complex(closed_x)
@@ -679,7 +681,7 @@ def _eig_multiplicities(eigs, tol):
 # ---------------------------------------------------------------------------
 # quasi-K-matrix route (split case)
 
-def quasi_k_in_rep(N, p, q, tol=1e-9):
+def quasi_k_in_rep(N, p, q):
     """Solve the quasi-K recursion weight by weight in End(V) and assemble
     K = X~ xi' T_{wX}^{-1} T_{w0}^{-1} at the distinguished parameter t'.
 
@@ -766,7 +768,7 @@ def quasi_k_in_rep(N, p, q, tol=1e-9):
             sol = np.zeros(0)
             resid = float(np.linalg.norm(bvec))
         worst_residual = max(worst_residual, resid)
-        if resid > tol:
+        if resid > QUASI_K_ATOL:
             raise StructuralError(
                 f"quasi-K recursion inconsistent at weight {mu}: {resid:.2e}")
         Mmu = np.zeros((N, N), dtype=complex)

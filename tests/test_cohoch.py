@@ -20,7 +20,6 @@ from qspair.cohoch import (
     cohomology_dims,
     make_lie_data,
     monomials,
-    primitive_cocycle,
     rank_of_columns,
     sl2_data,
     sl3_data,
@@ -135,6 +134,18 @@ def test_euler_characteristic():
             [cc._column(elt) for elt in oracle_basis(cc, top, w)])
         hkr = (-1) ** w * comb(3, w) if w <= top else 0
         assert chi_c - (-1) ** top * rank_top == hkr, w
+
+
+def primitive_cocycle(cc, letters):
+    """The cochain 1 (x) X_{i1} (x) ... (x) X_{in} as a sparse vector index."""
+    d = cc.lie.dim
+    m0 = (0,) * cc.lie.dim_h
+    legs = []
+    for i in letters:
+        m = [0] * d
+        m[i] = 1
+        legs.append(tuple(m))
+    return (m0,) + tuple(legs)
 
 
 def test_primitive_cocycle_class():

@@ -21,7 +21,6 @@ from qspair.sln import (
     realize,
     subspace_distance,
     tensor_rep,
-    theta_matrix,
     theta_prime_operator,
     trivial_rep,
 )
@@ -29,6 +28,16 @@ from qspair.sln import (
 
 def comm(a, b):
     return a @ b - b @ a
+
+
+def ad_leg1(X, T):
+    """[X, .] on the first leg of an element T of g (x) g."""
+    return np.einsum("ax,xbcd->abcd", X, T) - np.einsum("xb,axcd->abcd", X, T)
+
+
+def ad_leg2(X, T):
+    """[X, .] on the second leg of an element T of g (x) g."""
+    return np.einsum("cx,abxd->abcd", X, T) - np.einsum("xd,abcx->abcd", X, T)
 
 
 @pytest.fixture(scope="module", params=[(2, 1), (3, 1), (4, 2)])
@@ -65,54 +74,35 @@ def test_znu_normalization(pr):
 
 
 def test_split_tensor_sum(pr):
-    N = pr.N
-    total = np.zeros((N, N, N, N), dtype=complex)
-    for pairs, sgn in [(pr.t_k, 1), (pr.t_mplus, 1), (pr.t_mminus, 1), (pr.t_u, -1)]:
-        for A, B in pairs:
-            total += sgn * np.einsum("ab,cd->abcd", A, B)
+    total = pr.t_k + pr.t_mplus + pr.t_mminus - pr.t_u
     assert np.max(np.abs(total)) < 1e-12
 
 
 def test_interaction_z_tm(pr):
     Z = pr.Znu
-    for pairs, sign in [(pr.t_mplus, 1), (pr.t_mminus, -1)]:
-        acc = np.zeros((pr.N,) * 4, dtype=complex)
-        for A, B in pairs:
-            acc += np.einsum("ab,cd->abcd", comm(Z, A) - sign * 1j * A, B)
+    for T, sign in [(pr.t_mplus, 1), (pr.t_mminus, -1)]:
+        acc = ad_leg1(Z, T) - sign * 1j * T
         assert np.max(np.abs(acc)) < 1e-12
         # second leg carries the opposite eigenvalue
-        acc = np.zeros((pr.N,) * 4, dtype=complex)
-        for A, B in pairs:
-            acc += np.einsum("ab,cd->abcd", A, comm(Z, B) + sign * 1j * B)
+        acc = ad_leg2(Z, T) + sign * 1j * T
         assert np.max(np.abs(acc)) < 1e-12
 
 
 def test_t_u_ad_invariant(pr):
     for X in pr.basis_g[:6]:
-        acc = np.zeros((pr.N,) * 4, dtype=complex)
-        for A, B in pr.t_u:
-            acc += np.einsum("ab,cd->abcd", comm(X, A), B)
-            acc += np.einsum("ab,cd->abcd", A, comm(X, B))
+        acc = ad_leg1(X, pr.t_u) + ad_leg2(X, pr.t_u)
         assert np.max(np.abs(acc)) < 1e-12
 
 
 def test_r_antisymmetric(pr):
-    acc = np.zeros((pr.N,) * 4, dtype=complex)
-    for A, B in pr.r:
-        acc += np.einsum("ab,cd->abcd", A, B)
-        acc += np.einsum("ab,cd->abcd", B, A)
+    # the leg swap of sum A (x) B is sum B (x) A
+    acc = pr.r + pr.r.transpose(2, 3, 0, 1)
     assert np.max(np.abs(acc)) < 1e-12
 
 
 def test_ir_equals_tm_split_mod_k(pr):
     # i r = t^{m+} - t^{m-} modulo g^nu (x) g^nu
-    acc = np.zeros((pr.N,) * 4, dtype=complex)
-    for A, B in pr.r:
-        acc += 1j * np.einsum("ab,cd->abcd", A, B)
-    for A, B in pr.t_mplus:
-        acc -= np.einsum("ab,cd->abcd", A, B)
-    for A, B in pr.t_mminus:
-        acc += np.einsum("ab,cd->abcd", A, B)
+    acc = 1j * pr.r - pr.t_mplus + pr.t_mminus
     proj_m = lambda X: pr.proj_mplus(X) + pr.proj_mminus(X)
     assert sln._tensor_norm(sln._project_tensor(acc, proj_m, proj_m)) < 1e-12
 
@@ -202,7 +192,9 @@ def test_k1_is_gnu():
 
 
 def test_omega_pairing_values():
-    for (N, p), dm in [((2, 1), 2), ((3, 1), 4), ((4, 2), 8)]:
+    sweep = [((N, p), 2 * p * (N - p))
+             for N in range(2, 13) for p in range(1, N // 2 + 1)]
+    for (N, p), dm in [((2, 1), 2), ((3, 1), 4), ((4, 2), 8)] + sweep:
         pr = realize(N, p)
         plus = omega_pairing(pr, pr.t_mplus)
         minus = omega_pairing(pr, pr.t_mminus)
@@ -259,6 +251,20 @@ def test_theta_prime_matches_satake_matrix_up_to_torus():
                 assert (nz_l == nz_r).all()
                 ratio = lhs[nz_l] / rhs[nz_r]
                 assert np.max(np.abs(np.abs(ratio) - 1)) < 1e-10
+
+
+def theta_matrix(N, p):
+    """The Satake-form involution matrix of the AIII family: m_0 = A_N in the
+    S-type case, z m_0 m_X in the C-type case; theta = Ad of this matrix."""
+    if N == 2 * p:
+        return a_antidiag(N)
+    z_phase = np.exp(1j * np.pi * p / N)
+    m = np.zeros((N, N), dtype=complex)
+    Ap = a_antidiag(p)
+    m[:p, N - p:] = -Ap.T
+    m[p:N - p, p:N - p] = np.eye(N - 2 * p)
+    m[N - p:, :p] = -Ap
+    return z_phase * m
 
 
 def test_a_antidiag_square():
@@ -362,19 +368,23 @@ def _kron_rho(rep, X):
 
 def _kron_leg_tensor(pr, symbol, reps, legs):
     """build_leg_tensor from dense Kronecker products: a two-leg symbol is
-    sum_a rho_i(A_a) (x) rho_j(B_a) on its slots, a Casimir
-    sum_a rho(A_a) rho(B_a), placed by the np.kron reference."""
+    sum_ab rho_i(e_ab) (x) rho_j(T[a,b]) on its slots for T = sum A (x) B,
+    a Casimir sum_ab rho(e_ab) rho(T[a,b]), placed by the np.kron
+    reference."""
     dims = tuple(r.dim for r in reps)
+    units = [(sln._eij(pr.N, a, b), (a, b))
+             for a in range(pr.N) for b in range(pr.N)]
     if symbol == "Z":
         factor = _kron_rho(reps[legs[0]], pr.Znu)
     elif symbol in ("casimir_k", "casimir_u"):
         r = reps[legs[0]]
-        pairs = {"casimir_k": pr.t_k, "casimir_u": pr.t_u}[symbol]
-        factor = sum(_kron_rho(r, A) @ _kron_rho(r, B) for A, B in pairs)
+        T = {"casimir_k": pr.t_k, "casimir_u": pr.t_u}[symbol]
+        factor = sum(_kron_rho(r, E) @ _kron_rho(r, T[ab]) for E, ab in units)
     else:
         i, j = legs
-        factor = sum(np.kron(_kron_rho(reps[i], A), _kron_rho(reps[j], B))
-                     for A, B in getattr(pr, symbol))
+        T = getattr(pr, symbol)
+        factor = sum(np.kron(_kron_rho(reps[i], E), _kron_rho(reps[j], T[ab]))
+                     for E, ab in units)
     return _kron_reference(factor, dims, legs)
 
 
@@ -441,7 +451,28 @@ def test_realize_bad_params():
         realize(4, 3)
 
 
-def test_sl2_tensor_term_count():
-    pr = realize(2, 1)
-    assert len(pr.t_u) == 3      # e (x) f, f (x) e, h (x) h/2
-    assert sum(2 * p * (2 - p) for p in [1]) == 2
+def test_split_tensors_closed_form():
+    # t_u = sum_ab e_ab (x) e_ba - (1/N) 1 (x) 1, t_k the same over (a, b) in
+    # one half, t_m+ = sum_{a<p<=b} e_ab (x) e_ba, t_m- its transpose, and
+    # r = i sum_{a<b} (e_ba (x) e_ab - e_ab (x) e_ba)
+    for N in range(2, 13):
+        eye = np.eye(N)
+        swap = np.einsum("ad,bc->abcd", eye, eye)      # sum_ab e_ab (x) e_ba
+        ones = np.einsum("ab,cd->abcd", eye, eye) / N
+        a, b = np.indices((N, N))
+        # e_ba (x) e_ab with a < b sits at [b, a, a, b]: first index larger
+        sign = np.sign(a - b)[:, :, None, None]
+        for p in range(1, N // 2 + 1):
+            pr = realize(N, p)
+            same = ((a < p) == (b < p))[:, :, None, None]
+            plus = ((a < p) & (b >= p))[:, :, None, None] * swap
+            for got, want in [(pr.t_u, swap - ones),
+                              (pr.t_k, same * swap - ones),
+                              (pr.t_mplus, plus),
+                              (pr.t_mminus, plus.transpose(1, 0, 3, 2)),
+                              (pr.r, 1j * sign * swap)]:
+                assert np.max(np.abs(got - want)) < 1e-12, (N, p)
+    f = fundamental_rep(12)
+    lt = build_leg_tensor(realize(12, 6), "t_u", (f, f), (0, 1)).toarray()
+    flip = np.eye(144)[[12 * (k % 12) + k // 12 for k in range(144)]]
+    assert np.max(np.abs(lt - (flip - np.eye(144) / 12))) < 1e-12

@@ -275,7 +275,7 @@ def test_bi_below_p():
 def test_classical_limit_of_generators():
     # q -> 1 at t = 0: B_i tends to X_{-alpha_i} + theta(X_{-alpha_i}) with
     # theta = Ad of the explicit Satake-form matrix
-    from qspair.sln import theta_matrix
+    from test_sln import theta_matrix
     eps = 1e-6
     for N, p in [(2, 1), (4, 2), (3, 1), (5, 2)]:
         t = make_params(N, p)
