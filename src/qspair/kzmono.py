@@ -411,14 +411,13 @@ def first_order_oracle(pr, reps, s):
 # ---------------------------------------------------------------------------
 # identity residuals
 
-def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
-                       central_g=1.0):
+def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200):
     """Residual norms of the structural identities for the KZ data.
 
     Returns a dict with keys mixed_pentagon, ribbon_coproduct_1,
     ribbon_coproduct_2, hexagon_1, hexagon_2, psi_intertwiner.  The ribbon
     identities are checked for the sigma-braid E = ribbon_kz(..., "sigma")
-    with beta = sigma = Ad exp(pi Z).
+    with beta = sigma = Ad exp(pi Z) and central element g = 1 on leg 1.
     """
     rep0, f = reps
     tf = tensor_rep(rep0, f)    # merged (0,1)
@@ -442,11 +441,10 @@ def identity_residuals(pr, reps, s, mu=0.0, h=0.05, tol=1e-12, max_order=200,
 
     # --- ribbon identities on legs (0,1,2), beta = sigma
     dims3 = (rep0.dim, f.dim, f.dim)
-    E = ribbon_kz(pr, (rep0, f), s, mu, h=h, central_g=central_g,
-                  variant="sigma")
-    E_01_2 = ribbon_kz(pr, (tf, f), s, mu, h=h, central_g=central_g,
+    E = ribbon_kz(pr, (rep0, f), s, mu, h=h, variant="sigma")
+    E_01_2 = ribbon_kz(pr, (tf, f), s, mu, h=h,
                        variant="sigma")       # (alpha (x) id)(E)
-    E_0_12 = ribbon_kz(pr, (rep0, ff), s, mu, h=h, central_g=central_g,
+    E_0_12 = ribbon_kz(pr, (rep0, ff), s, mu, h=h,
                        variant="sigma")       # (id (x) Delta)(E)
     R = r_kz(pr, (f, f), h)
     on3 = lambda T, legs: embed_on_legs(T, dims3, legs).toarray()

@@ -11,8 +11,10 @@ fractional powers q^{a/b} are principal real powers, and the unimodular
 constants are explicit N-th roots of unity.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
@@ -687,6 +689,11 @@ def quasi_k_in_rep(N, p, q):
 
     Split (S-type) case only: X is empty, so T_{wX} = 1 and the bar
     involution fixes the X_i = -E_{tau(i)} appearing in the recursion.
+
+    The recursion starts from M_0 = 1 and solves mu = nu + 2 alpha_i^- only
+    from a weight nu with M_nu != 0: at any other weight every right-hand
+    side vanishes.  Each step adds 2 to the simple-root height, so popping
+    weights by height makes every predecessor final before its successors.
     """
     if N != 2 * p:
         raise DomainError("quasi-K route implemented for the split case N = 2p")
@@ -694,87 +701,60 @@ def quasi_k_in_rep(N, p, q):
     rs = sd.root_system
     uq = fundamental(N, q)
 
-    # c'_i = q^{(alpha_i, Theta(alpha_i))/2} (rho_X = 0 here)
-    cprime_exp = {}
-    theta_pair = {}
+    # c'_i = q^{(alpha_i, Theta(alpha_i))/2} (rho_X = 0 here).  With
+    # X_i = -E_j, step i of the recursion at mu is [F_i, M_mu] =
+    # M_prev bar(c'_i X_i) K_i - q^{-(a_i,Th a_i)} K_i^{-1} c'_i X_i M_prev,
+    # M_prev = M_{mu - 2 alpha_i^-}; right_of and left_of hold its factors.
+    steps, right_of, left_of = [], [], []
     for i in range(1, N):
         a = sd.simple_root(i)
-        ta = theta_weight(sd, a)
-        theta_pair[i] = pairing(rs, a, ta)
-        cprime_exp[i] = theta_pair[i] / 2
-
-    # weight-mu subspaces of End(V): mu = L_a - L_b
-    def weight_positions(mu):
-        out = []
-        for a in range(N):
-            for b in range(N):
-                vec = [Fraction(0)] * N
-                vec[a] += 1
-                vec[b] -= 1
-                if tuple(vec) == tuple(mu) and a != b:
-                    out.append((a, b))
-        return out
-
-    # the monoid generated by 2 alpha_i^- up to the maximal End(V) height
-    gens_mu = []
-    for i in range(1, N):
-        hr = restricted_half_root(sd, i)
-        gens_mu.append(tuple(2 * x for x in hr))
-    max_height = N - 1
-    frontier = {tuple(Fraction(0) for _ in range(N))}
-    reachable = set(frontier)
-    while frontier:
-        new = set()
-        for mu in frontier:
-            for g in gens_mu:
-                cand = tuple(a + b for a, b in zip(mu, g))
-                ht = sum(c for c in cand if c > 0)
-                if ht <= max_height and cand not in reachable:
-                    new.add(cand)
-        reachable |= new
-        frontier = new
+        theta_pair = pairing(rs, a, theta_weight(sd, a))
+        cp = _qpow(q, theta_pair / 2)
+        j = sd.tau[i]
+        steps.append(tuple(2 * x for x in restricted_half_root(sd, i)))
+        right_of.append(-_qpow(q, -theta_pair / 2) * uq.E[j - 1] @ uq.K[i - 1])
+        left_of.append(-_qpow(q, -theta_pair) * cp
+                       * np.linalg.inv(uq.K[i - 1]) @ uq.E[j - 1])
 
     zero_mu = tuple(Fraction(0) for _ in range(N))
     M = {zero_mu: np.eye(N, dtype=complex)}
-    order = sorted(reachable, key=lambda mu: sum(c for c in mu if c > 0))
-    worst_residual = 0.0
-    for mu in order:
-        if mu == zero_mu:
-            continue
-        positions = weight_positions(mu)
-        rhs = []
-        for i in range(1, N):
-            hr = restricted_half_root(sd, i)
-            prev_mu = tuple(a - 2 * b for a, b in zip(mu, hr))
-            M_prev = M.get(prev_mu)
-            if M_prev is None:
-                M_prev = np.zeros((N, N), dtype=complex)
-            j = sd.tau[i]
-            # X_i = -E_j; bar(c'_i X_i) K_i and q^{-(a_i,Th a_i)} K_i^{-1} c'_i X_i
-            cp = _qpow(q, cprime_exp[i])
-            cp_bar = _qpow(q, -cprime_exp[i])
-            right = M_prev @ (-cp_bar * uq.E[j - 1] @ uq.K[i - 1])
-            left = (-_qpow(q, -theta_pair[i]) * cp
-                    * np.linalg.inv(uq.K[i - 1]) @ uq.E[j - 1]) @ M_prev
-            target = right - left
-            rhs.append(target.ravel())
-        # [F_i, M] = -[M, F_i]; the zero rows stay, the residual reads them
-        A = -_full_commutator_system(uq.F, positions)
-        bvec = np.concatenate(rhs)
-        if positions:
-            sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-            resid = float(np.linalg.norm(A @ sol - bvec))
-        else:
-            sol = np.zeros(0)
-            resid = float(np.linalg.norm(bvec))
-        worst_residual = max(worst_residual, resid)
-        if resid > QUASI_K_ATOL:
-            raise StructuralError(
-                f"quasi-K recursion inconsistent at weight {mu}: {resid:.2e}")
-        Mmu = np.zeros((N, N), dtype=complex)
-        for k, (a, b) in enumerate(positions):
-            Mmu[a, b] = sol[k]
-        M[mu] = Mmu
+    frontier = [(0, zero_mu)]
+    seen = {zero_mu}
+    zeros = np.zeros((N, N), dtype=complex)
+    while frontier:
+        _, nu = heapq.heappop(frontier)
+        for step in steps:
+            mu = tuple(a + b for a, b in zip(nu, step))
+            # End(V) carries weights of height at most N - 1
+            if sum(c for c in mu if c > 0) > N - 1 or mu in seen:
+                continue
+            seen.add(mu)
+            # the weight space of mu in End(V): e_ab when mu = L_a - L_b
+            positions = ([(mu.index(1), mu.index(-1))]
+                         if sorted(mu) == [-1] + [0] * (N - 2) + [1] else [])
+            rhs = []
+            for st, right, left in zip(steps, right_of, left_of):
+                M_prev = M.get(tuple(a - b for a, b in zip(mu, st)), zeros)
+                rhs.append((M_prev @ right - left @ M_prev).ravel())
+            # [F_i, M] = -[M, F_i]; the zero rows stay, the residual reads them
+            A = -_full_commutator_system(uq.F, positions)
+            bvec = np.concatenate(rhs)
+            if positions:
+                sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
+                resid = float(np.linalg.norm(A @ sol - bvec))
+            else:
+                sol = np.zeros(0)
+                resid = float(np.linalg.norm(bvec))
+            if resid > QUASI_K_ATOL:
+                raise StructuralError(f"quasi-K recursion inconsistent "
+                                      f"at weight {mu}: {resid:.2e}")
+            Mmu = np.zeros((N, N), dtype=complex)
+            for k, (a, b) in enumerate(positions):
+                Mmu[a, b] = sol[k]
+            if Mmu.any():
+                M[mu] = Mmu
+                # simple-root height: type A partial sums
+                heapq.heappush(frontier, (sum(accumulate(mu[:-1])), mu))
 
     # omega_0 pairing values (omega_0, alpha_i) for the Ad K_{omega_0} scalars
     omega0_pair = {}
@@ -789,12 +769,8 @@ def quasi_k_in_rep(N, p, q):
 
     def omega0_dot(mu):
         # expand mu in simple roots: type A partial sums
-        coeffs = []
-        acc = Fraction(0)
-        for c in mu[:-1]:
-            acc += c
-            coeffs.append(acc)
-        return sum(coeffs[i - 1] * omega0_pair[i] for i in range(1, N))
+        return sum(c * omega0_pair[i]
+                   for i, c in enumerate(accumulate(mu[:-1]), 1))
 
     X_rep = np.zeros((N, N), dtype=complex)
     for mu, Mmu in M.items():
@@ -802,7 +778,6 @@ def quasi_k_in_rep(N, p, q):
 
     # xi' is scalar in the split case: q^{-(L_i^+, L_i^+)} with value
     # independent of i
-    Lplus_sq = None
     xi_diag = []
     for i in range(N):
         L = [Fraction(0)] * N

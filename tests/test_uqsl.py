@@ -13,17 +13,25 @@ from qspair.errors import (
 )
 from qspair import satake
 from qspair.rootdata import pairing
-from qspair.satake import cascade, normalization_constants, restricted_half_root
+from qspair.satake import (
+    build_aiii,
+    cascade,
+    normalization_constants,
+    restricted_half_root,
+    theta_weight,
+)
 from qspair.sln import (
     _eij,
     casimir_matrix,
     realize,
 )
 from qspair.uqsl import (
+    QUASI_K_ATOL,
     _full_commutator_system,
     _mudrov_support,
     _mudrov_system,
     _null_vector,
+    _qpow,
     closed_form_kmatrix,
     closed_form_s,
     closed_form_s_plus_mu,
@@ -632,6 +640,152 @@ def test_infer_rejects_alien_eigenvalues():
 # ---------------------------------------------------------------------------
 # quasi-K route
 
+def _quasi_k_monoid_oracle(N, p, q):
+    """quasi_k_in_rep as it solved every weight of the monoid generated by the
+    2 alpha_i^- up to the End(V) height N - 1, sorted by the sum of the
+    positive L-coordinates: the reference for the frontier recursion.
+
+    Split (S-type) case only: X is empty, so T_{wX} = 1 and the bar
+    involution fixes the X_i = -E_{tau(i)} appearing in the recursion.
+    """
+    if N != 2 * p:
+        raise DomainError("quasi-K route implemented for the split case N = 2p")
+    sd = build_aiii(N, p)
+    rs = sd.root_system
+    uq = fundamental(N, q)
+
+    # c'_i = q^{(alpha_i, Theta(alpha_i))/2} (rho_X = 0 here)
+    cprime_exp = {}
+    theta_pair = {}
+    for i in range(1, N):
+        a = sd.simple_root(i)
+        ta = theta_weight(sd, a)
+        theta_pair[i] = pairing(rs, a, ta)
+        cprime_exp[i] = theta_pair[i] / 2
+
+    # weight-mu subspaces of End(V): mu = L_a - L_b
+    def weight_positions(mu):
+        out = []
+        for a in range(N):
+            for b in range(N):
+                vec = [Fraction(0)] * N
+                vec[a] += 1
+                vec[b] -= 1
+                if tuple(vec) == tuple(mu) and a != b:
+                    out.append((a, b))
+        return out
+
+    # the monoid generated by 2 alpha_i^- up to the maximal End(V) height
+    gens_mu = []
+    for i in range(1, N):
+        hr = restricted_half_root(sd, i)
+        gens_mu.append(tuple(2 * x for x in hr))
+    max_height = N - 1
+    frontier = {tuple(Fraction(0) for _ in range(N))}
+    reachable = set(frontier)
+    while frontier:
+        new = set()
+        for mu in frontier:
+            for g in gens_mu:
+                cand = tuple(a + b for a, b in zip(mu, g))
+                ht = sum(c for c in cand if c > 0)
+                if ht <= max_height and cand not in reachable:
+                    new.add(cand)
+        reachable |= new
+        frontier = new
+
+    zero_mu = tuple(Fraction(0) for _ in range(N))
+    M = {zero_mu: np.eye(N, dtype=complex)}
+    order = sorted(reachable, key=lambda mu: sum(c for c in mu if c > 0))
+    worst_residual = 0.0
+    for mu in order:
+        if mu == zero_mu:
+            continue
+        positions = weight_positions(mu)
+        rhs = []
+        for i in range(1, N):
+            hr = restricted_half_root(sd, i)
+            prev_mu = tuple(a - 2 * b for a, b in zip(mu, hr))
+            M_prev = M.get(prev_mu)
+            if M_prev is None:
+                M_prev = np.zeros((N, N), dtype=complex)
+            j = sd.tau[i]
+            # X_i = -E_j; bar(c'_i X_i) K_i and q^{-(a_i,Th a_i)} K_i^{-1} c'_i X_i
+            cp = _qpow(q, cprime_exp[i])
+            cp_bar = _qpow(q, -cprime_exp[i])
+            right = M_prev @ (-cp_bar * uq.E[j - 1] @ uq.K[i - 1])
+            left = (-_qpow(q, -theta_pair[i]) * cp
+                    * np.linalg.inv(uq.K[i - 1]) @ uq.E[j - 1]) @ M_prev
+            target = right - left
+            rhs.append(target.ravel())
+        # [F_i, M] = -[M, F_i]; the zero rows stay, the residual reads them
+        A = -_full_commutator_system(uq.F, positions)
+        bvec = np.concatenate(rhs)
+        if positions:
+            sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
+            resid = float(np.linalg.norm(A @ sol - bvec))
+        else:
+            sol = np.zeros(0)
+            resid = float(np.linalg.norm(bvec))
+        worst_residual = max(worst_residual, resid)
+        if resid > QUASI_K_ATOL:
+            raise StructuralError(
+                f"quasi-K recursion inconsistent at weight {mu}: {resid:.2e}")
+        Mmu = np.zeros((N, N), dtype=complex)
+        for k, (a, b) in enumerate(positions):
+            Mmu[a, b] = sol[k]
+        M[mu] = Mmu
+
+    # omega_0 pairing values (omega_0, alpha_i) for the Ad K_{omega_0} scalars
+    omega0_pair = {}
+    for i in range(1, N):
+        a = sd.simple_root(i)
+        ti = sd.tau[i]
+        term = theta_weight(sd, sd.simple_root(ti))
+        val = (pairing(rs, term, a)
+               - pairing(rs, sd.simple_root(ti), a)
+               - pairing(rs, theta_weight(sd, a), a)) / 4
+        omega0_pair[i] = val
+
+    def omega0_dot(mu):
+        # expand mu in simple roots: type A partial sums
+        coeffs = []
+        acc = Fraction(0)
+        for c in mu[:-1]:
+            acc += c
+            coeffs.append(acc)
+        return sum(coeffs[i - 1] * omega0_pair[i] for i in range(1, N))
+
+    X_rep = np.zeros((N, N), dtype=complex)
+    for mu, Mmu in M.items():
+        X_rep = X_rep + _qpow(q, omega0_dot(mu)) * Mmu
+
+    # xi' is scalar in the split case: q^{-(L_i^+, L_i^+)} with value
+    # independent of i
+    Lplus_sq = None
+    xi_diag = []
+    for i in range(N):
+        L = [Fraction(0)] * N
+        L[i] = Fraction(1)
+        tL = theta_weight(sd, tuple(L))
+        Lp = tuple((a + b) / 2 for a, b in zip(L, tL))
+        xi_diag.append(_qpow(q, -pairing(rs, Lp, Lp)))
+    xi = np.diag(xi_diag).astype(complex)
+
+    K = X_rep @ xi @ np.linalg.inv(lusztig_wX(N, p, q)) \
+        @ np.linalg.inv(lusztig_w0(N, q))
+    return X_rep, K
+
+
+@pytest.mark.parametrize("q", [Q, 1.01])
+@pytest.mark.parametrize("N", [2, 4, 6, 8])
+def test_quasi_k_frontier_matches_monoid_oracle(N, q):
+    X, K = quasi_k_in_rep(N, N // 2, q)
+    X_ref, K_ref = _quasi_k_monoid_oracle(N, N // 2, q)
+    assert np.array_equal(X, X_ref)
+    assert np.array_equal(K, K_ref)
+
+
 def test_quasi_k_x_is_identity_in_fundamental():
     X, _ = quasi_k_in_rep(2, 1, Q)
     assert np.max(np.abs(X - np.eye(2))) < 1e-12
@@ -650,7 +804,7 @@ def test_quasi_k_rejects_c_type():
         quasi_k_in_rep(3, 1, Q)
 
 
-@pytest.mark.parametrize("N,p", [(2, 1), (4, 2), (6, 3)])
+@pytest.mark.parametrize("N,p", [(2 * p, p) for p in range(1, 17)])
 def test_cross_route_agreement(N, p):
     scalar, gap = cross_route_scalar(N, p, Q)
     assert abs(abs(scalar) - 1) < 1e-9
