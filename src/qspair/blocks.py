@@ -5,9 +5,8 @@ so in the tensor basis each is block diagonal after a permutation of the
 basis: its blocks are the connected components of its sparsity pattern.
 ``Blocks`` finds the components of one or more matrices, stacks the blocks
 of equal size as (nb, b, b) arrays, so that one batched numpy call handles
-each size, and scatters such stacks back into a CSR matrix.  ``inverse``,
-``cond`` and ``det`` are the whole-matrix quantities computed block by
-block.
+each size, and scatters such stacks back into a CSR matrix.  ``inverse``
+and ``cond`` are the whole-matrix quantities computed block by block.
 
 A basis permutation that the matrices commute with (for the KZ operators,
 the Weyl group of k relabelling index values) maps blocks onto blocks, so
@@ -199,9 +198,3 @@ def cond(m):
     smax = max(float(s[:, 0].max()) for s in sv)
     smin = min(float(s[:, -1].min()) for s in sv)
     return smax / smin if smin > 0 else np.inf
-
-
-def det(m):
-    """Determinant of m, the product of the block determinants."""
-    return complex(np.prod([np.prod(np.linalg.det(s))
-                            for s in Blocks(m).split(m)]))

@@ -7,9 +7,9 @@ of Gamma_n with the fixed parenthesization ((V (x) W) (x) W) (x) W:
     sigma_1 -> Psi^{-1}_{0,1,2} (Sigma R)_{1,2} Psi_{0,1,2}
     sigma_2 -> Psi^{-1}_{01,2,3} (Sigma R)_{2,3} Psi_{01,2,3}
 
-The grouped-leg associators are recomputed with a merged leg of two
-fundamentals, so families are passed as callables on the groupings of
-GROUPINGS.  n <= 3 keeps the dimensions at desk scale.
+The associators come as a list, None where the quadruple is strict: Psi_i
+acts on (V (x) W^{i-1}) (x) W (x) W, the grouped slot one merged leg.  n <= 3
+keeps the dimensions at desk scale.
 
 The Kohno-Drinfeld check builds the coideal-side representation from the
 Balagovic-Kolb braid R_21 (1 (x) K) R (with the strict Psi = Phi = 1, since
@@ -18,6 +18,7 @@ braid, the cyclotomic associator and R_KZ = exp(-h t^u), and compares traces
 of words, which are invariants of the representation equivalence.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -37,9 +38,7 @@ from .uqsl import (
 )
 
 INVERTIBLE_COND_LIMIT = 1e12
-
-# fundamental legs in each slot of the associator of a grouping
-GROUPINGS = {"0,1,2": (1, 1, 1), "01,2,3": (2, 1, 1)}
+MAX_STRANDS = 3         # the dimension dv dw^n grows fast
 
 
 @dataclass
@@ -50,58 +49,66 @@ class BraidRep:
     sigma: list          # sigma_1 .. sigma_{n-1}, CSR
     grouping: str
     residuals: dict
+    log_det_rho1: tuple  # (log|det rho_1|, its phase in (-pi, pi])
 
 
-def build_rep(E, R, psi_family, n, dims):
-    """Assemble the Gamma_n generator matrices as CSR matrices.
+def _check_strands(n):
+    if n not in range(1, MAX_STRANDS + 1):
+        raise ParameterError(f"n <= {MAX_STRANDS} strand budget (dimension "
+                             f"grows fast), got n = {n}")
 
-    E acts on V (x) W, R (dense) on W (x) W.  psi_family("0,1,2") must
-    return the associator on V (x) W (x) W and psi_family("01,2,3") the
-    grouped one on (V (x) W) (x) W (x) W, dense or sparse; families
-    recompute with tensor-product representations on merged legs.  The
-    associators are inverted block by block (blocks.inverse).  The fixed
-    parenthesization needs no Phi for n <= 3.
+
+def build_rep(E, R, psis):
+    """The Gamma_n generators as CSR matrices, n = len(psis) + 1.
+
+    E (dense) acts on V (x) W and R (dense) on W (x) W; dv and dw are read
+    off their shapes.  psis[i-1] is Psi_i, dense or sparse, or None for 1.
+    sigma_i is the core Psi_i^{-1} (Sigma R)_{i,i+1} Psi_i on the first i + 2
+    legs (Psi_i inverted per block) tensored with the identity.  Since
+    cond(A (x) 1) = cond(A), invertibility is tested on E, on Sigma R where
+    Psi_i is None and on the core otherwise; log_det_rho1 is dw^{n-1}
+    slogdet(E).  The fixed parenthesization needs no Phi for n <= 3.
     """
-    if n not in (1, 2, 3):
-        raise ParameterError("n <= 3 strand budget (dimension grows fast)")
-    dv, dw = dims
-    if E.shape != (dv * dw, dv * dw):
-        raise ShapeError(f"E must act on V (x) W = {dv * dw}, got {E.shape}")
+    n = len(psis) + 1
+    _check_strands(n)
+    dw = math.isqrt(R.shape[0])
     if R.shape != (dw * dw, dw * dw):
         raise ShapeError(f"R must act on W (x) W, got {R.shape}")
-    total = dv * dw ** n
-    rho1 = embed_on_legs(E, (dv * dw, dw ** (n - 1)), (0,))
-    if n == 1:
-        rep = BraidRep(n=1, dim=total, rho1=rho1, sigma=[],
-                       grouping="V.W", residuals={})
-        rep.residuals = relation_residuals(rep)
-        return rep
+    dv = E.shape[0] // dw
+    if E.shape != (dv * dw, dv * dw):
+        raise ShapeError(f"E must act on V (x) W, got {E.shape} for "
+                         f"dim W = {dw}")
+    if not _invertible(E):
+        raise ComparisonError("rho_1 is not invertible")
     sR = R.reshape(dw, dw, -1).swapaxes(0, 1).reshape(R.shape)   # Sigma R
-
-    def conjugate(psi, left):
-        """psi^{-1} (1_left (x) Sigma R) psi."""
-        psi = _csr(psi)
-        middle = embed_on_legs(sR, (left, dw * dw), (1,))
-        return blocks.inverse(psi) @ middle @ psi
-
-    psi = psi_family("0,1,2")
-    if psi.shape != (dv * dw * dw,) * 2:
-        raise ShapeError("psi_family returned a wrong-sized associator")
-    sigma1_small = conjugate(psi, dv)
-    if n == 2:
-        sigma = [sigma1_small]
-    else:
-        sigma1 = embed_on_legs(sigma1_small, (dv * dw * dw, dw), (0,))
-        psi_01 = psi_family("01,2,3")
-        if psi_01.shape != (total,) * 2:
-            raise ShapeError("grouped associator has a wrong size")
-        sigma = [sigma1, conjugate(psi_01, dv * dw)]
-
-    grouping = "(V.W).W" if n == 2 else "((V.W).W).W"
-    rep = BraidRep(n=n, dim=total, rho1=rho1, sigma=sigma,
-                   grouping=grouping, residuals={})
+    sigma = []
+    for i, psi in enumerate(psis, 1):
+        left = dv * dw ** (i - 1)
+        core = embed_on_legs(sR, (left, dw * dw), (1,))
+        if psi is not None:
+            if psi.shape != core.shape:
+                raise ShapeError(f"Psi_{i} must act on {core.shape[0]} "
+                                 f"dimensions, got {psi.shape}")
+            psi = _csr(psi)
+            core = blocks.inverse(psi) @ core @ psi
+        if not _invertible(sR if psi is None else core):
+            raise ComparisonError(f"sigma_{i} is not invertible")
+        sigma.append(embed_on_legs(core, (core.shape[0], dw ** (n - 1 - i)),
+                                   (0,)))
+    rest = dw ** (n - 1)
+    rep = BraidRep(n=n, dim=dv * dw * rest,
+                   rho1=embed_on_legs(E, (dv * dw, rest), (0,)), sigma=sigma,
+                   grouping="(" * (n - 1) + "V.W" + ").W" * (n - 1),
+                   residuals={}, log_det_rho1=_log_det(E, rest))
     rep.residuals = relation_residuals(rep)
     return rep
+
+
+def _log_det(E, copies):
+    """(log|det|, phase) of E (x) 1, whose determinant is det(E)^copies."""
+    sign, logabs = np.linalg.slogdet(E)
+    phase = copies * float(np.angle(sign))
+    return copies * float(logabs), float(np.pi - (np.pi - phase) % (2 * np.pi))
 
 
 def _csr(m):
@@ -138,11 +145,6 @@ def relation_residuals(rep):
     if sig:
         rs, sr = r @ sig[0], sig[0] @ r
         rel("type_b", rs @ rs, sr @ sr)
-    for i, s in enumerate(sig):
-        if not _invertible(s):
-            raise ComparisonError(f"sigma_{i + 1} is not invertible")
-    if not _invertible(r):
-        raise ComparisonError("rho_1 is not invertible")
     return out
 
 
@@ -181,6 +183,7 @@ def q_side_rep(N, p, t, h, n):
     (pi (x) pi)(E) = q^{2/N} R_21 (1 (x) K) R, and sigma_i use the honest
     R-matrix q^{1/N} Sigma R; the bialgebra is strict so Psi = Phi = 1.
     """
+    _check_strands(n)
     q = float(np.exp(h))
     kr = solve_kmatrix(N, p, t, q)
     R = r_matrix(N, q)
@@ -188,27 +191,20 @@ def q_side_rep(N, p, t, h, n):
     R21 = embed_on_legs(R, (N, N), (1, 0)).toarray()
     K2 = embed_on_legs(kr.K, (N, N), (1,)).toarray()
     E = scal ** 2 * (R21 @ K2 @ R)
-
-    def psi_one(grouping):
-        return sparse.eye_array(N ** sum(GROUPINGS[grouping]), dtype=complex,
-                                format="csr")
-
-    rep = build_rep(E, scal * R, psi_one, n, (N, N))
-    return rep, kr
+    return build_rep(E, scal * R, [None] * (n - 1)), kr
 
 
 def kz_side_rep(N, p, s, mu, g, h, n, tol=1e-12):
-    """KZ-side representation from (ribbon braid, Psi_{KZ,s;mu}, R_KZ)."""
+    """KZ-side representation from (ribbon braid, Psi_{KZ,s;mu}, R_KZ);
+    Psi_i is psi_kz on (V (x) W^{i-1}, W, W), the first slot one merged leg."""
+    _check_strands(n)
     pr = realize(N, p)
     f = fundamental_rep(N)
     E = ribbon_kz(pr, (f, f), s, mu, h=h, central_g=g, variant="plain")
     R = r_kz(pr, (f, f), h)
-
-    def psi_fam(grouping):
-        reps = tuple(Representation(N, c) for c in GROUPINGS[grouping])
-        return psi_kz(pr, reps, s, mu, h=h, tol=tol)
-
-    return build_rep(E, R, psi_fam, n, (N, N))
+    psis = [psi_kz(pr, (Representation(N, i), f, f), s, mu, h=h, tol=tol)
+            for i in range(1, n)]
+    return build_rep(E, R, psis)
 
 
 DEFAULT_WORDS = (
@@ -249,6 +245,6 @@ def kohno_drinfeld_compare(N, p, t=None, h=0.05, words=DEFAULT_WORDS, n=2,
         "fit": {"s": s, "s_plus_mu": x, "g": kr.fitted_g},
         "q_residuals": qrep.residuals,
         "kz_residuals": krep.residuals,
-        "det_rho1_q": blocks.det(qrep.rho1),
-        "det_rho1_kz": blocks.det(krep.rho1),
+        "det_rho1_q": qrep.log_det_rho1,
+        "det_rho1_kz": krep.log_det_rho1,
     }

@@ -16,26 +16,13 @@ from qspair.braidb import (
 from qspair.uqsl import make_params, solve_kmatrix
 
 
-def identity_family(dims):
-    dv, dw = dims
-
-    def fam(grouping):
-        if grouping == "0,1,2":
-            return np.eye(dv * dw * dw, dtype=complex)
-        if grouping == "01,2,3":
-            return np.eye(dv * dw ** 3, dtype=complex)
-        raise ValueError(grouping)
-
-    return fam
-
-
 def test_trivial_quadruple_all_identity():
     dv, dw = 2, 2
     E = np.eye(dv * dw, dtype=complex)
     R = np.eye(dw * dw, dtype=complex)
-    fam = identity_family((dv, dw))
     for n in (2, 3):
-        rep = build_rep(E, R, fam, n, (dv, dw))
+        psis = [np.eye(dv * dw ** (i + 1), dtype=complex) for i in range(1, n)]
+        rep = build_rep(E, R, psis)
         # sigma = flip-conjugated identity = identity-similar permutation
         assert max(rep.residuals.values()) < 1e-14
         w = word_matrix(rep, ("rho1",))
@@ -49,14 +36,26 @@ def test_single_strand_rep():
     assert rep.residuals == {}
 
 
-def test_build_rep_validation():
-    fam = identity_family((2, 2))
+def test_build_rep_validation(monkeypatch):
     with pytest.raises(ParameterError):
-        build_rep(np.eye(4), np.eye(4), fam, 5, (2, 2))
+        build_rep(np.eye(4), np.eye(4), [None] * 3)
     with pytest.raises(ShapeError):
-        build_rep(np.eye(3), np.eye(4), fam, 2, (2, 2))
+        build_rep(np.eye(3), np.eye(4), [None])
     with pytest.raises(ShapeError):
-        build_rep(np.eye(4), np.eye(3), fam, 2, (2, 2))
+        build_rep(np.eye(4), np.eye(3), [None])
+    with pytest.raises(ShapeError):
+        build_rep(np.eye(4), np.eye(4), [np.eye(4)])
+
+    def no_psi(*args, **kwargs):
+        raise AssertionError("psi_kz called before the strand check")
+
+    monkeypatch.setattr(braidb, "psi_kz", no_psi)
+    t = make_params(2, 1)
+    for n in (0, 4):
+        with pytest.raises(ParameterError):
+            q_side_rep(2, 1, t, 0.05, n)
+        with pytest.raises(ParameterError):
+            kz_side_rep(2, 1, 0.0, 0.0, 1.0, 0.05, n)
 
 
 def test_q_side_relations_n2_and_n3():
@@ -113,13 +112,39 @@ def test_invertibility_check_is_scale_free():
     assert max(out["kz_residuals"].values()) < 1e-8
 
 
-def test_rank_deficient_rho1_raises():
-    rep, _ = q_side_rep(2, 1, make_params(2, 1), 0.05, 2)
-    keep = np.ones(rep.dim)
-    keep[0] = 0
-    rep.rho1 = rep.rho1 @ sparse.diags_array(keep, format="csr")
-    with pytest.raises(ComparisonError, match="rho_1"):
-        relation_residuals(rep)
+def _singular(m):
+    """m with its first column zeroed."""
+    m = np.array(m)
+    m[:, 0] = 0
+    return m
+
+
+def _spy_build_rep(monkeypatch):
+    """The arguments of the next braidb.build_rep call, filled in when it
+    happens."""
+    seen = {}
+
+    def spy(E, R, psis, build=braidb.build_rep):
+        seen.update(E=E, R=R, psis=psis)
+        return build(E, R, psis)
+
+    monkeypatch.setattr(braidb, "build_rep", spy)
+    return seen
+
+
+def test_rank_deficient_rho1_raises(monkeypatch):
+    seen = _spy_build_rep(monkeypatch)
+    q_side_rep(2, 1, make_params(2, 1), 0.05, 2)
+    with pytest.raises(ComparisonError, match="rho_1 is not invertible"):
+        build_rep(_singular(seen["E"]), seen["R"], seen["psis"])
+
+
+def test_rank_deficient_sigma1_raises():
+    E, R = np.eye(4, dtype=complex), np.eye(4, dtype=complex)
+    with pytest.raises(ComparisonError, match="sigma_1 is not invertible"):
+        build_rep(E, _singular(R), [None])
+    with pytest.raises(ComparisonError, match="sigma_1 is not invertible"):
+        build_rep(E, _singular(R), [np.eye(8)])
 
 
 def test_word_matrix_validation():
@@ -139,11 +164,60 @@ def test_empty_word_traces_dim():
     assert abs(empty["delta"]) < 1e-12
 
 
+def _det(log_det):
+    log_abs, phase = log_det
+    return np.exp(log_abs + 1j * phase)
+
+
 def test_kohno_drinfeld_n2_standard():
     out = kohno_drinfeld_compare(2, 1, None, h=0.05, n=2)
     assert out["max_delta"] < 1e-6
     assert abs(out["fit"]["s"]) < 1e-12
-    assert abs(out["det_rho1_q"] - out["det_rho1_kz"]) < 1e-8
+    assert abs(_det(out["det_rho1_q"]) - _det(out["det_rho1_kz"])) < 1e-8
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("n", [2, 3])
+def test_log_det_rho1_sides_agree(N, n):
+    # det rho_1 itself underflows to 0 at N = 8, n = 3 (dimension 4096)
+    out = kohno_drinfeld_compare(N, N // 2, None, h=0.05, n=n)
+    (lq, pq), (lk, pk) = out["det_rho1_q"], out["det_rho1_kz"]
+    assert -np.pi < pq <= np.pi and -np.pi < pk <= np.pi
+    assert abs(lq - lk) < 1e-8
+    assert abs(np.angle(np.exp(1j * (pq - pk)))) < 1e-8
+
+
+def test_log_det_rho1_phase_wraps():
+    # det(E (x) 1) = det(E)^{2^{n-1}}: phases 3 pi / 2 and 3 pi, wrapped
+    E = np.diag([2 * np.exp(0.75j * np.pi), 1])
+    R = np.eye(4, dtype=complex)
+    for psis, want in (([None], (2 * np.log(2), -np.pi / 2)),
+                       ([None, None], (4 * np.log(2), np.pi))):
+        got = build_rep(E, R, psis).log_det_rho1
+        assert got == pytest.approx(want, abs=1e-14)
+
+
+def test_full_size_work_only_on_kz_sigma2(monkeypatch):
+    N = 3
+    D = N ** 4
+    sizes = {"cond": [], "inverse": [], "eye": []}
+
+    def spy(name, fn):
+        def wrapped(m, *args, **kwargs):
+            sizes[name].append(m if name == "eye" else m.shape[0])
+            return fn(m, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(blocks, "cond", spy("cond", blocks.cond))
+    monkeypatch.setattr(blocks, "inverse", spy("inverse", blocks.inverse))
+    monkeypatch.setattr(sparse, "eye_array", spy("eye", sparse.eye_array))
+    q_side_rep(N, 1, make_params(N, 1), 0.05, 3)
+    assert sizes == {"cond": [N * N] * 3, "inverse": [], "eye": []}
+    kohno_drinfeld_compare(N, 1, None, h=0.05, n=3)
+    # q side: E, Sigma R twice; KZ side: E, the sigma_1 core, sigma_2
+    assert sizes["cond"][3:] == [N * N] * 3 + [N * N, N ** 3, D]
+    assert sizes["inverse"] == [N ** 3, D]
+    assert D not in sizes["eye"]
 
 
 def test_kohno_drinfeld_nontrivial_parameters():
@@ -201,18 +275,21 @@ def _flip(d):
     return out
 
 
-def _dense_build_rep(E, R, psi_family, n, dims):
-    """(rho1, sigma) of the fixed parenthesization, all dense."""
-    dv, dw = dims
+def _dense_build_rep(E, R, psis):
+    """(rho1, sigma) of the fixed parenthesization, all dense; a None
+    associator is the identity."""
+    n = len(psis) + 1
+    dw = int(round(np.sqrt(R.shape[0])))
+    dv = E.shape[0] // dw
     sR = _flip(dw) @ R
-    psi = psi_family("0,1,2")
-    sigma1_small = np.linalg.solve(psi, np.kron(np.eye(dv), sR)) @ psi
     rho1 = np.kron(E, np.eye(dw ** (n - 1)))
-    if n == 2:
-        return rho1, [sigma1_small]
-    psi_01 = psi_family("01,2,3")
-    sigma2 = np.linalg.solve(psi_01, np.kron(np.eye(dv * dw), sR)) @ psi_01
-    return rho1, [np.kron(sigma1_small, np.eye(dw)), sigma2]
+    sigma = []
+    for i, psi in enumerate(psis, 1):
+        left = dv * dw ** (i - 1)
+        psi = np.eye(left * dw * dw) if psi is None else _dense(psi)
+        core = np.linalg.solve(psi, np.kron(np.eye(left), sR)) @ psi
+        sigma.append(np.kron(core, np.eye(dw ** (n - 1 - i))))
+    return rho1, sigma
 
 
 def _dense_relation_residuals(rho1, sig):
@@ -231,7 +308,9 @@ def _dense_relation_residuals(rho1, sig):
                 sig[i + 1] @ sig[i] @ sig[i + 1])
         if i >= 1:
             rel(f"rho_sigma_comm_{i + 1}", rho1 @ sig[i], sig[i] @ rho1)
-    rel("type_b", rho1 @ sig[0] @ rho1 @ sig[0], sig[0] @ rho1 @ sig[0] @ rho1)
+    if sig:
+        rel("type_b", rho1 @ sig[0] @ rho1 @ sig[0],
+            sig[0] @ rho1 @ sig[0] @ rho1)
     return out
 
 
@@ -249,20 +328,12 @@ def _side_rep(side, N, n):
 
 @pytest.mark.parametrize("side", ["q", "kz"])
 @pytest.mark.parametrize("N", [2, 3, 4])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_sparse_assembly_matches_dense(monkeypatch, side, N, n):
-    seen = {}
-    build = braidb.build_rep
-
-    def spy(E, R, psi_family, n, dims):
-        seen.update(E=E, R=R, fam=psi_family, dims=dims)
-        return build(E, R, psi_family, n, dims)
-
-    monkeypatch.setattr(braidb, "build_rep", spy)
+    seen = _spy_build_rep(monkeypatch)
     rep = _side_rep(side, N, n)()
     rho1, sig = _dense_build_rep(_dense(seen["E"]), _dense(seen["R"]),
-                                 lambda g: _dense(seen["fam"](g)), n,
-                                 seen["dims"])
+                                 seen["psis"])
     for got, want in zip([rep.rho1] + rep.sigma, [rho1] + sig):
         assert sparse.issparse(got)
         assert np.max(np.abs(got.toarray() - want)) <= 1e-13
